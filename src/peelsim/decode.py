@@ -31,9 +31,6 @@ __all__ = [
 ROWS = "rows"
 COLS = "cols"
 
-# Above this many edges the vectorized engine wins; below it, plain dicts do.
-_PYTHON_ENGINE_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class DecodeParams:
@@ -74,25 +71,18 @@ def side_schedule(rounds: int) -> tuple[str, ...]:
     return tuple(ROWS if (rounds - i) % 2 == 0 else COLS for i in range(1, rounds + 1))
 
 
-def decode(g: BipartiteGraph, params: DecodeParams, engine: str = "auto") -> DecodeOutcome:
+def decode(g: BipartiteGraph, params: DecodeParams) -> DecodeOutcome:
     """Run exactly params.rounds peeling rounds on g.
 
     Returns the outcome with a per-round trace; rounds_executed equals
-    params.rounds.  engine selects the internal implementation ("python",
-    "vector", or "auto" by edge count); all engines compute the identical
-    outcome.
+    params.rounds.
     """
-    sides = side_schedule(params.rounds)
-    residual, trace = _run_rounds(g, sides, params.t, engine)
-    return DecodeOutcome(
-        success=residual.edge_count == 0,
-        residual=residual,
-        trace=trace,
-        rounds_executed=params.rounds,
-    )
+    run = _MaskEngine(g, params.t)
+    trace = tuple(run.round(side) for side in side_schedule(params.rounds))
+    return DecodeOutcome(run.live_edges == 0, run.residual(), trace, params.rounds)
 
 
-def decode_fixpoint(g: BipartiteGraph, t: int, engine: str = "auto") -> DecodeOutcome:
+def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
     """Peel with unlimited rounds, starting with rows, until the graph is
     empty or a full row+column double-round removes nothing.
 
@@ -104,7 +94,7 @@ def decode_fixpoint(g: BipartiteGraph, t: int, engine: str = "auto") -> DecodeOu
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
     if g.edge_count == 0:
         return DecodeOutcome(True, g, (), 0)
-    run = _PythonEngine(g, t) if _pick_engine(g, engine) == "python" else _VectorEngine(g, t)
+    run = _MaskEngine(g, t)
     trace: list[RoundRecord] = []
     while True:
         removed_pair = 0
@@ -112,77 +102,27 @@ def decode_fixpoint(g: BipartiteGraph, t: int, engine: str = "auto") -> DecodeOu
             rec = run.round(side)
             trace.append(rec)
             removed_pair += rec.edges_removed
-            if run.edge_count() == 0:
+            if run.live_edges == 0:
                 break
-        if run.edge_count() == 0 or removed_pair == 0:
+        if run.live_edges == 0 or removed_pair == 0:
             break
     executed = 0
     for k, rec in enumerate(trace, start=1):
         if rec.edges_removed > 0:
             executed = k
-    residual = run.residual()
-    return DecodeOutcome(residual.edge_count == 0, residual, tuple(trace), executed)
+    return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), executed)
 
 
-def _pick_engine(g: BipartiteGraph, engine: str) -> str:
-    if engine == "auto":
-        return "python" if g.edge_count <= _PYTHON_ENGINE_LIMIT else "vector"
-    if engine in ("python", "vector"):
-        return engine
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def _run_rounds(g, sides, t, engine):
-    run = _PythonEngine(g, t) if _pick_engine(g, engine) == "python" else _VectorEngine(g, t)
-    trace = tuple(run.round(side) for side in sides)
-    return run.residual(), trace
-
-
-class _PythonEngine:
-    """Dict-of-sets peeling; only vertices that still hold edges are tracked."""
-
-    def __init__(self, g: BipartiteGraph, t: int):
-        self.g = g
-        self.t = t
-        self.adj_l, self.adj_r = g.adjacency_sets()
-        self._edges = g.edge_count
-
-    def edge_count(self):
-        return self._edges
-
-    def round(self, side: str) -> RoundRecord:
-        mine, other = (self.adj_l, self.adj_r) if side == ROWS else (self.adj_r, self.adj_l)
-        cleared = sorted(x for x, nbrs in mine.items() if len(nbrs) <= self.t)
-        removed = 0
-        for x in cleared:
-            nbrs = mine.pop(x)
-            removed += len(nbrs)
-            for y in nbrs:
-                rest = other[y]
-                rest.remove(x)
-                if not rest:
-                    del other[y]
-        self._edges -= removed
-        return RoundRecord(side, tuple(cleared), removed)
-
-    def residual(self) -> BipartiteGraph:
-        if self._edges == self.g.edge_count:
-            return self.g
-        pairs = [(i, j) for i in sorted(self.adj_l) for j in sorted(self.adj_l[i])]
-        arr = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        return BipartiteGraph._from_sorted(self.g.n_left, self.g.n_right, arr[:, 0], arr[:, 1])
-
-
-class _VectorEngine:
-    """Mask-based peeling over the parallel edge arrays."""
+class _MaskEngine:
+    """Peeling over the parallel edge arrays: a live-edge mask plus its
+    running count.  Each round bincounts the live ends on its side, so
+    clearing follows the degrees seen at the start of the round."""
 
     def __init__(self, g: BipartiteGraph, t: int):
         self.g = g
         self.t = t
         self.alive = np.ones(g.edge_count, dtype=bool)
-
-    def edge_count(self):
-        return int(self.alive.sum())
+        self.live_edges = g.edge_count
 
     def round(self, side: str) -> RoundRecord:
         g = self.g
@@ -193,10 +133,12 @@ class _VectorEngine:
             return RoundRecord(side, (), 0)
         kill = self.alive & qualifies[ends]
         self.alive &= ~kill
-        cleared = tuple(np.nonzero(qualifies)[0].tolist())
-        return RoundRecord(side, cleared, int(kill.sum()))
+        removed = int(np.count_nonzero(kill))
+        self.live_edges -= removed
+        return RoundRecord(side, tuple(np.nonzero(qualifies)[0].tolist()), removed)
 
     def residual(self) -> BipartiteGraph:
-        if self.alive.all():
+        """The live edges; g itself when the rounds removed nothing."""
+        if self.live_edges == self.g.edge_count:
             return self.g
         return self.g._masked(self.alive)

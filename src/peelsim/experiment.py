@@ -130,7 +130,7 @@ class ExperimentSpec:
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.mode == CONSTANT_T_SWEEP:
-            self._need_t()
+            self._need_r_and_t()
             if not self.c_values or self.p_values is not None:
                 raise ValueError("CONSTANT_T_SWEEP takes c_values (and no p_values)")
             if any(c <= 0 for c in self.c_values):
@@ -145,7 +145,7 @@ class ExperimentSpec:
             if any(not 0.0 <= p <= 1.0 for p in self.p_values):
                 raise ValueError("every p must lie in [0, 1]")
         else:  # SINGLE_POINT
-            self._need_t()
+            self._need_r_and_t()
             if len(self.n_values) != 1:
                 raise ValueError("SINGLE_POINT takes exactly one n")
             have_c = self.c_values is not None
@@ -160,9 +160,12 @@ class ExperimentSpec:
             if have_c and self.c_values[0] <= 0:
                 raise ValueError("c must be positive")
 
-    def _need_t(self):
-        if self.t is None or self.t < 0:
-            raise ValueError(f"mode {self.mode} needs t >= 0, got {self.t!r}")
+    def _need_r_and_t(self):
+        # threshold_p and asymptotic_success are defined only for r, t >= 1.
+        if self.t is None or self.t < 1:
+            raise ValueError(f"mode {self.mode} needs t >= 1, got {self.t!r}")
+        if self.r < 1:
+            raise ValueError(f"mode {self.mode} needs r >= 1, got {self.r}")
         if self.alpha is not None:
             raise ValueError(f"mode {self.mode} does not take alpha")
 
@@ -393,11 +396,16 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
 
 def _coerce_field(key, value):
     kind = _SPEC_FIELDS[key]
+    convert = (lambda v: _strict_int(key, v)) if kind is int else kind
     if key in _LIST_FIELDS:
         if isinstance(value, str):
-            parts = [p for p in value.split(",") if p.strip()]
-            return tuple(kind(p.strip()) for p in parts)
-        return tuple(kind(v) for v in value)
-    if kind is str:
-        return str(value)
-    return kind(value)
+            value = [p.strip() for p in value.split(",") if p.strip()]
+        return tuple(convert(v) for v in value)
+    return convert(value)
+
+
+def _strict_int(key, value):
+    # int() would truncate 1.7 to 1 and accept True as 1.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and independent of the package's own
 algorithms: per-cell Bernoulli sampling instead of skip sampling, a
-degree-recomputing peeler instead of the engines, permutation and
+degree-recomputing peeler instead of the decode engine, permutation and
 canonical-form counting instead of closed formulas, and edge-subset
 enumeration instead of backtracking search.
 """

@@ -10,7 +10,14 @@ from peelsim import (
 )
 from peelsim.decode import COLS, ROWS
 
-from helpers import complete_graph, path_graph, random_graph, ref_decode, star_graph
+from helpers import (
+    complete_graph,
+    mask_to_graph,
+    path_graph,
+    random_graph,
+    ref_decode,
+    star_graph,
+)
 
 K22 = complete_graph(2, 2)
 EMPTY = BipartiteGraph(2, 2)
@@ -19,6 +26,14 @@ EMPTY = BipartiteGraph(2, 2)
 def corpus(n=300, seed=99, max_side=5):
     rng = np.random.default_rng(seed)
     return [random_graph(rng, max_side=max_side) for _ in range(n)]
+
+
+def mid_size_graph(t, seed):
+    # About 1.5k edges at mean degree t + 1/2: rounds clear hundreds of
+    # vertices while many others stay over capability.
+    n = 2000 // (t + 1)
+    rng = np.random.default_rng(seed)
+    return mask_to_graph(rng.random((n, n)) < (t + 0.5) / n)
 
 
 # ----------------------------------------------------------------- schedule
@@ -52,7 +67,7 @@ def test_empty_graph_succeeds():
 def test_k22_is_a_fixed_point():
     out = decode(K22, DecodeParams(rounds=10, t=1))
     assert not out.success
-    assert out.residual == K22
+    assert out.residual is K22
     assert all(rec.edges_removed == 0 for rec in out.trace)
 
 
@@ -82,8 +97,6 @@ def test_params_validation():
         DecodeParams(rounds=-1, t=1)
     with pytest.raises(ValueError):
         DecodeParams(rounds=1, t=-1)
-    with pytest.raises(ValueError):
-        decode(K22, DecodeParams(rounds=1, t=1), engine="bogus")
 
 
 # ----------------------------------------------------------------- fixpoint
@@ -96,7 +109,7 @@ def test_fixpoint_empty_graph():
 def test_fixpoint_k22_stalls():
     out = decode_fixpoint(K22, t=1)
     assert not out.success
-    assert out.residual == K22
+    assert out.residual is K22
     assert out.rounds_executed == 0
 
 
@@ -127,7 +140,8 @@ def test_fixpoint_counts_effective_rounds():
 
 @pytest.mark.parametrize("rounds,t", [(1, 1), (2, 1), (3, 2), (4, 1)])
 def test_matches_reference_decoder(rounds, t):
-    for g in corpus(150, seed=rounds * 10 + t):
+    seed = rounds * 10 + t
+    for g in corpus(150, seed=seed) + [mid_size_graph(t, seed)]:
         out = decode(g, DecodeParams(rounds=rounds, t=t))
         ok, residual, cleared, removed = ref_decode(g, rounds, t)
         assert out.success == ok
@@ -148,20 +162,23 @@ def test_sequential_sweep_equivalence():
             assert out.success == snap[0]
 
 
-def test_engines_agree():
-    for g in corpus(200, seed=23, max_side=7):
-        for rounds, t in ((1, 1), (2, 1), (3, 2)):
-            a = decode(g, DecodeParams(rounds, t), engine="python")
-            b = decode(g, DecodeParams(rounds, t), engine="vector")
-            assert a.success == b.success
-            assert a.residual == b.residual
-            assert a.trace == b.trace
-        fa = decode_fixpoint(g, 1, engine="python")
-        fb = decode_fixpoint(g, 1, engine="vector")
-        assert fa.success == fb.success
-        assert fa.residual == fb.residual
-        assert fa.trace == fb.trace
-        assert fa.rounds_executed == fb.rounds_executed
+def test_fixpoint_matches_reference_decoder():
+    # An odd schedule starts on rows like the fixpoint does; once the
+    # fixpoint has stopped, the reference's extra rounds remove nothing.
+    for t in (1, 2):
+        for g in corpus(200, seed=23, max_side=7) + [mid_size_graph(t, 23)]:
+            fix = decode_fixpoint(g, t)
+            steps = len(fix.trace)
+            rounds = steps if steps % 2 else steps + 1
+            ok, residual, cleared, removed = ref_decode(g, rounds, t)
+            assert fix.success == ok
+            assert frozenset(fix.residual.edges()) == residual
+            assert [rec.side for rec in fix.trace] == list(side_schedule(rounds)[:steps])
+            assert [rec.cleared for rec in fix.trace] == cleared[:steps]
+            assert [rec.edges_removed for rec in fix.trace] == removed[:steps]
+            assert not any(removed[steps:])
+            assert fix.rounds_executed == max(
+                (k for k, m in enumerate(removed, start=1) if m), default=0)
 
 
 # ---------------------------------------------------------------- properties

@@ -146,6 +146,18 @@ def test_spec_single_point_constraints():
         ExperimentSpec(SINGLE_POINT, (10,), 1, 5, 0, t=1)
 
 
+@pytest.mark.parametrize("mode,values", [
+    (CONSTANT_T_SWEEP, {"c_values": (1.0,)}),
+    (SINGLE_POINT, {"p_values": (0.1,)}),
+])
+def test_spec_threshold_modes_need_positive_r_and_t(mode, values):
+    # Both modes evaluate threshold_p(n, r, t) per point; reject at load time.
+    with pytest.raises(ValueError, match="r >= 1"):
+        ExperimentSpec(mode, (10,), 0, 5, 0, t=1, **values)
+    with pytest.raises(ValueError, match="t >= 1"):
+        ExperimentSpec(mode, (10,), 1, 5, 0, t=0, **values)
+
+
 def test_spec_common_constraints():
     with pytest.raises(ValueError):
         ExperimentSpec("WRONG", (10,), 1, 5, 0, t=1, c_values=(1.0,))
@@ -303,3 +315,23 @@ def test_load_spec_errors():
         load_spec("mode = CONSTANT_T_SWEEP\nnot a pair\n")
     with pytest.raises(ValueError, match="JSON must be an object"):
         load_spec("[1, 2]")
+
+
+JSON_SPEC = {
+    "mode": CONSTANT_T_SWEEP, "n_values": [8, 16], "r": 1, "t": 1,
+    "c_values": [1.0], "trials_per_point": 4, "master_seed": 11,
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+@pytest.mark.parametrize("field", ["r", "t", "n_values", "trials_per_point", "master_seed"])
+def test_load_spec_rejects_inexact_integers(field, bad):
+    raw = {**JSON_SPEC, field: [8, bad] if field == "n_values" else bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        load_spec(json.dumps(raw))
+
+
+def test_load_spec_accepts_integral_floats():
+    spec = load_spec(json.dumps({**JSON_SPEC, "r": 2.0, "n_values": [8.0]}))
+    assert spec.r == 2 and isinstance(spec.r, int)
+    assert spec.n_values == (8,)
