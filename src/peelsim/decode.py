@@ -9,11 +9,18 @@ otherwise.  Within a round every qualifying vertex is cleared against the
 degrees observed at the start of the round (snapshot semantics).
 
 Decoding succeeds when no edges remain after the final round.
+
+A round costs only what it can change.  The vertices a round cleared stay
+a numpy mask until ``RoundRecord.cleared`` is first read, so callers that
+only look at the outcome never build their ids as Python ints.  Once the
+graph is empty, or each side has found nothing to clear since the last
+removal, the state is a fixpoint: the remaining rounds are recorded as
+no-ops without touching the edge arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -46,14 +53,48 @@ class DecodeParams:
             raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
 
 
-@dataclass(frozen=True)
 class RoundRecord:
     """One executed round: which side ran, which vertices with at least one
-    edge were cleared (ascending), and how many edges that removed."""
+    edge were cleared (ascending), and how many edges that removed.
 
-    side: str
-    cleared: tuple[int, ...]
-    edges_removed: int
+    Immutable and compared, hashed and printed by (side, cleared,
+    edges_removed).  The engine hands over the cleared vertices as a
+    boolean mask over the side's vertex ids; ``cleared`` turns it into the
+    ascending tuple of ints when first read.
+    """
+
+    def __init__(self, side: str, cleared: tuple[int, ...], edges_removed: int):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "_cleared", cleared)
+        object.__setattr__(self, "edges_removed", edges_removed)
+
+    @property
+    def cleared(self) -> tuple[int, ...]:
+        ids = self._cleared
+        if isinstance(ids, np.ndarray):
+            ids = tuple(np.flatnonzero(ids).tolist())
+            object.__setattr__(self, "_cleared", ids)
+        return ids
+
+    def _key(self):
+        return (self.side, self.cleared, self.edges_removed)
+
+    def __eq__(self, other):
+        if not isinstance(other, RoundRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"RoundRecord(side={self.side!r}, cleared={self.cleared!r}, edges_removed={self.edges_removed!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -116,29 +157,45 @@ def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
 class _MaskEngine:
     """Peeling over the parallel edge arrays: a live-edge mask plus its
     running count.  Each round bincounts the live ends on its side, so
-    clearing follows the degrees seen at the start of the round."""
+    clearing follows the degrees seen at the start of the round.
+
+    The mask is None until the first removal, so a first round bincounts
+    the edge arrays without a gather.  ``stuck`` holds the sides that found
+    nothing to clear since the last removal: such a side would find
+    nothing again, so its round returns a no-op at once.
+    """
 
     def __init__(self, g: BipartiteGraph, t: int):
         self.g = g
         self.t = t
-        self.alive = np.ones(g.edge_count, dtype=bool)
+        self.alive = None
         self.live_edges = g.edge_count
+        self.stuck: set[str] = set()
 
     def round(self, side: str) -> RoundRecord:
+        if self.live_edges == 0 or side in self.stuck:
+            return RoundRecord(side, (), 0)
         g = self.g
         ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
-        deg = np.bincount(ends[self.alive], minlength=n)
+        deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
         qualifies = (deg > 0) & (deg <= self.t)
         if not qualifies.any():
+            self.stuck.add(side)
             return RoundRecord(side, (), 0)
-        kill = self.alive & qualifies[ends]
-        self.alive &= ~kill
+        # Every cleared vertex has a live edge, so this round removes some.
+        kill = qualifies[ends]
+        if self.alive is None:
+            self.alive = ~kill
+        else:
+            kill &= self.alive
+            self.alive ^= kill
         removed = int(np.count_nonzero(kill))
         self.live_edges -= removed
-        return RoundRecord(side, tuple(np.nonzero(qualifies)[0].tolist()), removed)
+        self.stuck.clear()
+        return RoundRecord(side, qualifies, removed)
 
     def residual(self) -> BipartiteGraph:
         """The live edges; g itself when the rounds removed nothing."""
-        if self.live_edges == self.g.edge_count:
+        if self.alive is None:
             return self.g
         return self.g._masked(self.alive)

@@ -396,16 +396,30 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
 
 def _coerce_field(key, value):
     kind = _SPEC_FIELDS[key]
-    convert = (lambda v: _strict_int(key, v)) if kind is int else kind
+    strict = {int: _strict_int, float: _strict_float}.get(kind)
+    convert = (lambda v: strict(key, v)) if strict else kind
     if key in _LIST_FIELDS:
         if isinstance(value, str):
             value = [p.strip() for p in value.split(",") if p.strip()]
+        elif not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list or a comma-separated string, got {value!r}")
         return tuple(convert(v) for v in value)
     return convert(value)
 
 
 def _strict_int(key, value):
     # int() would truncate 1.7 to 1 and accept True as 1.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _strict_float(key, value):
+    # float() would accept True as 1.0.
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {value!r}") from None

@@ -277,14 +277,22 @@ def _skip_sample(gen, n_cells: int, p: float) -> np.ndarray:
             break
         mean = remaining * p
         batch = int(mean + 4.0 * math.sqrt(mean + 1.0)) + 16
-        gaps = np.floor(np.log1p(-gen.random(batch)) / log_q).astype(np.int64) + 1
-        positions = pos + np.cumsum(gaps)
-        inside = positions < n_cells
-        if inside.all():
+        # floor(log1p(-x) / log_q) + 1, computed in place.
+        x = gen.random(batch)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        x /= log_q
+        np.floor(x, out=x)
+        positions = x.astype(np.int64)
+        positions += 1
+        np.cumsum(positions, out=positions)
+        positions += pos
+        # Gaps are >= 1, so positions increase strictly.
+        if positions[-1] < n_cells:
             chunks.append(positions)
             pos = int(positions[-1])
         else:
-            chunks.append(positions[: int(inside.sum())])
+            chunks.append(positions[: int(np.searchsorted(positions, n_cells))])
             break
     if not chunks:
         return np.empty(0, dtype=np.int64)

@@ -363,6 +363,28 @@ def test_sweep_rejects_fractional_rounds(capsys, tmp_path):
     assert "r must be an integer" in err
 
 
+def test_sweep_rejects_scalar_list_field(capsys, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "mode": "CONSTANT_T_SWEEP", "n_values": 8, "r": 1, "t": 1,
+        "c_values": [1.0], "trials_per_point": 2,
+    }))
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2
+    assert "n_values must be a list" in err
+
+
+def test_sweep_rejects_bool_probability(capsys, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "mode": "CONSTANT_T_SWEEP", "n_values": [8], "r": 1, "t": 1,
+        "c_values": [True], "trials_per_point": 2,
+    }))
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2
+    assert "c_values must be a number" in err
+
+
 def test_sweep_incomplete_flags(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--mode", "CONSTANT_T_SWEEP"])
     assert code == 2

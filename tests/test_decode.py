@@ -1,9 +1,13 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from peelsim import (
     BipartiteGraph,
     DecodeParams,
+    RoundRecord,
     decode,
     decode_fixpoint,
     side_schedule,
@@ -138,7 +142,7 @@ def test_fixpoint_counts_effective_rounds():
 
 # ------------------------------------------------------- reference decoder
 
-@pytest.mark.parametrize("rounds,t", [(1, 1), (2, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("rounds,t", [(1, 1), (2, 1), (3, 2), (4, 1), (8, 1), (11, 2)])
 def test_matches_reference_decoder(rounds, t):
     seed = rounds * 10 + t
     for g in corpus(150, seed=seed) + [mid_size_graph(t, seed)]:
@@ -148,6 +152,31 @@ def test_matches_reference_decoder(rounds, t):
         assert frozenset(out.residual.edges()) == residual
         assert [rec.cleared for rec in out.trace] == cleared
         assert [rec.edges_removed for rec in out.trace] == removed
+
+
+def test_round_record_contract():
+    g = path_graph(4)
+    out = decode(g, DecodeParams(rounds=3, t=1))
+    assert out.trace[0].cleared and out.trace[-1].cleared == ()  # a clearing round and a no-op
+    for rec in out.trace:
+        built = RoundRecord(rec.side, tuple(rec.cleared), rec.edges_removed)
+        assert type(rec.cleared) is tuple
+        assert all(type(i) is int for i in rec.cleared)
+        assert list(rec.cleared) == sorted(rec.cleared)
+        assert rec == built and hash(rec) == hash(built)
+        assert repr(rec) == (f"RoundRecord(side={rec.side!r}, cleared={rec.cleared!r}, "
+                             f"edges_removed={rec.edges_removed!r})")
+        assert pickle.loads(pickle.dumps(rec)) == built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.cleared = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.edges_removed = 0
+    # A fresh decode compares and hashes equal before its ids are read.
+    again = decode(g, DecodeParams(rounds=3, t=1))
+    assert again.trace == out.trace
+    assert hash(decode(g, DecodeParams(rounds=3, t=1)).trace) == hash(out.trace)
+    fresh = decode(g, DecodeParams(rounds=3, t=1)).trace[0]
+    assert repr(fresh) == "RoundRecord(side='rows', cleared=(0, 2), edges_removed=2)"
 
 
 def test_sequential_sweep_equivalence():

@@ -331,6 +331,27 @@ def test_load_spec_rejects_inexact_integers(field, bad):
         load_spec(json.dumps(raw))
 
 
+@pytest.mark.parametrize("field", ["alpha", "c_values", "p_values", "confidence"])
+def test_load_spec_rejects_bool_numbers(field):
+    raw = {**JSON_SPEC, field: [True] if field.endswith("_values") else True}
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        load_spec(json.dumps(raw))
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("n_values", 8), ("c_values", 1.0), ("p_values", None), ("n_values", {"8": 1}),
+])
+def test_load_spec_rejects_scalar_list_fields(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be a list or a comma-separated string"):
+        load_spec(json.dumps({**JSON_SPEC, field: bad}))
+
+
+@pytest.mark.parametrize("field,bad", [("r", None), ("n_values", [[8]]), ("c_values", [None])])
+def test_load_spec_rejects_non_scalar_values(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        load_spec(json.dumps({**JSON_SPEC, field: bad}))
+
+
 def test_load_spec_accepts_integral_floats():
     spec = load_spec(json.dumps({**JSON_SPEC, "r": 2.0, "n_values": [8.0]}))
     assert spec.r == 2 and isinstance(spec.r, int)
