@@ -127,31 +127,22 @@ def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
     """Peel with unlimited rounds, starting with rows, until the graph is
     empty or a full row+column double-round removes nothing.
 
+    The engine decides when to stop: a pair of rounds runs while edges
+    remain and some side has not come up empty since the last removal, so
+    the loop ends only after a whole pair (or once the graph is empty).
     rounds_executed counts effective rounds: the position of the last round
     that removed an edge (0 when nothing was ever removed).  The trace keeps
     every executed round, including the final no-op ones.
     """
     if not isinstance(t, int) or t < 0:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
-    if g.edge_count == 0:
-        return DecodeOutcome(True, g, (), 0)
     run = _MaskEngine(g, t)
     trace: list[RoundRecord] = []
-    while True:
-        removed_pair = 0
-        for side in (ROWS, COLS):
-            rec = run.round(side)
-            trace.append(rec)
-            removed_pair += rec.edges_removed
-            if run.live_edges == 0:
-                break
-        if run.live_edges == 0 or removed_pair == 0:
-            break
-    executed = 0
-    for k, rec in enumerate(trace, start=1):
-        if rec.edges_removed > 0:
-            executed = k
-    return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), executed)
+    while run.live_edges and len(run.stuck) < 2:
+        trace.append(run.round(ROWS))
+        if run.live_edges:
+            trace.append(run.round(COLS))
+    return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), run.last_removal)
 
 
 class _MaskEngine:
@@ -162,7 +153,9 @@ class _MaskEngine:
     The mask is None until the first removal, so a first round bincounts
     the edge arrays without a gather.  ``stuck`` holds the sides that found
     nothing to clear since the last removal: such a side would find
-    nothing again, so its round returns a no-op at once.
+    nothing again, so its round returns a no-op at once.  ``rounds`` counts
+    every round run, no-ops included, and ``last_removal`` is the number of
+    the last round that removed an edge (0 before any removal).
     """
 
     def __init__(self, g: BipartiteGraph, t: int):
@@ -171,8 +164,11 @@ class _MaskEngine:
         self.alive = None
         self.live_edges = g.edge_count
         self.stuck: set[str] = set()
+        self.rounds = 0
+        self.last_removal = 0
 
     def round(self, side: str) -> RoundRecord:
+        self.rounds += 1
         if self.live_edges == 0 or side in self.stuck:
             return RoundRecord(side, (), 0)
         g = self.g
@@ -192,6 +188,7 @@ class _MaskEngine:
         removed = int(np.count_nonzero(kill))
         self.live_edges -= removed
         self.stuck.clear()
+        self.last_removal = self.rounds
         return RoundRecord(side, qualifies, removed)
 
     def residual(self) -> BipartiteGraph:

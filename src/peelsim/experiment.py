@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 from .decode import DecodeParams, decode, decode_fixpoint
@@ -41,10 +42,13 @@ SINGLE_POINT = "SINGLE_POINT"
 
 _MODES = (CONSTANT_T_SWEEP, LINEAR_REGIME_SWEEP, SINGLE_POINT)
 
-CSV_COLUMNS = (
-    "mode,n,r,t_or_alpha,c_or_p,trials,successes,"
-    "p_hat,ci_low,ci_high,theory,mean_residual_edges,mean_rounds"
-)
+# (column, PointEstimate attribute): the one table behind the CSV header,
+# the CSV rows and the JSON keys.
+_COLUMNS = tuple((name, name) for name in (
+    "mode", "n", "r", "t_or_alpha", "c_or_p", "trials", "successes",
+    "p_hat", "ci_low", "ci_high", "theory", "mean_residual_edges",
+)) + (("mean_rounds", "mean_rounds_to_fixpoint"),)
+CSV_COLUMNS = ",".join(name for name, _ in _COLUMNS)
 
 _MASK64 = 2**64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,14 +79,15 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int, trials_per_
 class TrialRecord:
     """Outcome of one sampled pattern.
 
-    one_round_success reports whether a single row round alone would finish
-    the pattern (every row within capability); fixpoint_rounds is the
-    effective round count of unlimited peeling on the same pattern.
+    success and residual_edges come from the round-limited decode;
+    fixpoint_rounds is the effective round count of unlimited peeling on the
+    same pattern.  one_round_success reports whether a single row round
+    alone finishes the pattern (every row within capability); it is read
+    off the fixpoint run, whose first round decodes rows.
     """
 
     success: bool
     residual_edges: int
-    edges_drawn: int
     one_round_success: bool
     fixpoint_rounds: int
 
@@ -110,11 +115,12 @@ class ExperimentSpec:
     confidence: float = 0.95
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if self.c_values is not None:
-            object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
-        if self.p_values is not None:
-            object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
+        # Built in Python or by load_spec, every given field passes the same
+        # strict conversion; None leaves an optional field unset.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                object.__setattr__(self, f.name, _coerce_field(f.name, value))
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.n_values:
@@ -133,7 +139,7 @@ class ExperimentSpec:
             self._need_r_and_t()
             if not self.c_values or self.p_values is not None:
                 raise ValueError("CONSTANT_T_SWEEP takes c_values (and no p_values)")
-            if any(c <= 0 for c in self.c_values):
+            if any(not c > 0 for c in self.c_values):
                 raise ValueError("every c must be positive")
         elif self.mode == LINEAR_REGIME_SWEEP:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
@@ -157,7 +163,7 @@ class ExperimentSpec:
                 raise ValueError("SINGLE_POINT takes exactly one c or p value")
             if have_p and not 0.0 <= self.p_values[0] <= 1.0:
                 raise ValueError("p must lie in [0, 1]")
-            if have_c and self.c_values[0] <= 0:
+            if have_c and not self.c_values[0] > 0:
                 raise ValueError("c must be positive")
 
     def _need_r_and_t(self):
@@ -202,55 +208,37 @@ def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     g = sample_bipartite(n, n, p, seed)
     outcome = decode(g, params)
     fix = decode_fixpoint(g, params.t)
-    one_round = bool(g.edge_count == 0 or g.left_degrees().max() <= params.t)
     return TrialRecord(
         success=outcome.success,
         residual_edges=outcome.residual.edge_count,
-        edges_drawn=g.edge_count,
-        one_round_success=one_round,
+        one_round_success=fix.success and fix.rounds_executed <= 1,
         fixpoint_rounds=fix.rounds_executed,
     )
 
 
 def _point_tasks(spec: ExperimentSpec) -> list[dict]:
+    by_c = spec.c_values is not None
+    values = spec.c_values if by_c else spec.p_values
     tasks = []
-    if spec.mode == LINEAR_REGIME_SWEEP:
-        for n in spec.n_values:
-            for p in spec.p_values:
-                tasks.append({
-                    "n": n, "r": spec.r, "t": int(math.floor(spec.alpha * n)),
-                    "t_or_alpha": spec.alpha, "c_or_p": p, "p": p,
-                    "theory": linear_regime_prediction(p, spec.alpha),
-                })
-    else:
-        if spec.c_values is not None:
-            for n in spec.n_values:
-                for c in spec.c_values:
-                    p = min(1.0, c * threshold_p(n, spec.r, spec.t))
-                    tasks.append({
-                        "n": n, "r": spec.r, "t": spec.t,
-                        "t_or_alpha": spec.t, "c_or_p": c, "p": p,
-                        "theory": asymptotic_success(c, spec.r, spec.t),
-                    })
+    for n, x in sorted((n, x) for n in spec.n_values for x in values):
+        t, p = spec.t, x
+        if spec.mode == LINEAR_REGIME_SWEEP:
+            t = int(math.floor(spec.alpha * n))
+            theory = linear_regime_prediction(x, spec.alpha)
+        elif by_c:
+            p = min(1.0, x * threshold_p(n, spec.r, spec.t))
+            theory = asymptotic_success(x, spec.r, spec.t)
         else:
-            for n in spec.n_values:
-                for p in spec.p_values:
-                    thr = threshold_p(n, spec.r, spec.t)
-                    theory = asymptotic_success(p / thr, spec.r, spec.t) if p > 0 else 1.0
-                    tasks.append({
-                        "n": n, "r": spec.r, "t": spec.t,
-                        "t_or_alpha": spec.t, "c_or_p": p, "p": p,
-                        "theory": theory,
-                    })
-    tasks.sort(key=lambda d: (d["n"], d["c_or_p"]))
-    for index, task in enumerate(tasks):
-        task["point_index"] = index
+            thr = threshold_p(n, spec.r, spec.t)
+            theory = asymptotic_success(x / thr, spec.r, spec.t) if x > 0 else 1.0
+        tasks.append({"n": n, "t": t, "c_or_p": x, "p": p, "theory": theory,
+                      "point_index": len(tasks)})
     return tasks
 
 
 def _run_point(args) -> PointEstimate:
     spec, task = args
-    params = DecodeParams(rounds=task["r"], t=task["t"])
+    params = DecodeParams(rounds=spec.r, t=task["t"])
     trials = spec.trials_per_point
     successes = 0
     one_round = 0
@@ -267,8 +255,8 @@ def _run_point(args) -> PointEstimate:
     return PointEstimate(
         mode=spec.mode,
         n=task["n"],
-        r=task["r"],
-        t_or_alpha=task["t_or_alpha"],
+        r=spec.r,
+        t_or_alpha=spec.t if spec.alpha is None else spec.alpha,
         c_or_p=task["c_or_p"],
         trials=trials,
         successes=successes,
@@ -320,40 +308,12 @@ def write_results(results, fmt: str = "csv") -> str:
     """Serialize point estimates; CSV floats carry 6 significant digits, the
     JSON mirror keeps full precision."""
     if fmt == "csv":
-        lines = [CSV_COLUMNS]
-        for r in results:
-            lines.append(",".join([
-                r.mode, str(r.n), str(r.r), _fmt(r.t_or_alpha), _fmt(float(r.c_or_p)),
-                str(r.trials), str(r.successes), _fmt(r.p_hat), _fmt(r.ci_low),
-                _fmt(r.ci_high), _fmt(r.theory), _fmt(r.mean_residual_edges),
-                _fmt(r.mean_rounds_to_fixpoint),
-            ]))
-        return "\n".join(lines) + "\n"
+        rows = (",".join(_fmt(getattr(r, attr)) for _, attr in _COLUMNS) for r in results)
+        return "\n".join([CSV_COLUMNS, *rows]) + "\n"
     if fmt == "json":
-        rows = [{
-            "mode": r.mode, "n": r.n, "r": r.r, "t_or_alpha": r.t_or_alpha,
-            "c_or_p": r.c_or_p, "trials": r.trials, "successes": r.successes,
-            "p_hat": r.p_hat, "ci_low": r.ci_low, "ci_high": r.ci_high,
-            "theory": r.theory, "mean_residual_edges": r.mean_residual_edges,
-            "mean_rounds": r.mean_rounds_to_fixpoint,
-        } for r in results]
+        rows = [{name: getattr(r, attr) for name, attr in _COLUMNS} for r in results]
         return json.dumps(rows, indent=2) + "\n"
     raise ValueError(f"unknown results format {fmt!r}")
-
-
-_SPEC_FIELDS = {
-    "mode": str,
-    "n_values": int,
-    "r": int,
-    "t": int,
-    "alpha": float,
-    "c_values": float,
-    "p_values": float,
-    "trials_per_point": int,
-    "master_seed": int,
-    "confidence": float,
-}
-_LIST_FIELDS = ("n_values", "c_values", "p_values")
 
 
 def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
@@ -383,33 +343,33 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     raw.setdefault("master_seed", 0)
-    kwargs = {}
     for key, value in raw.items():
         if key not in _SPEC_FIELDS:
             raise ValueError(f"unknown spec field {key!r}")
-        kwargs[key] = _coerce_field(key, value)
+        if value is None:
+            # The spec reads None as "not given", so a JSON null would pass
+            # unchecked; the converter rejects it with the field's rule.
+            _coerce_field(key, value)
     try:
-        return ExperimentSpec(**kwargs)
+        return ExperimentSpec(**raw)
     except TypeError as exc:
         raise ValueError(f"incomplete spec: {exc}") from None
 
 
 def _coerce_field(key, value):
-    kind = _SPEC_FIELDS[key]
-    strict = {int: _strict_int, float: _strict_float}.get(kind)
-    convert = (lambda v: strict(key, v)) if strict else kind
+    convert = _SPEC_FIELDS[key]
     if key in _LIST_FIELDS:
         if isinstance(value, str):
             value = [p.strip() for p in value.split(",") if p.strip()]
         elif not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list or a comma-separated string, got {value!r}")
-        return tuple(convert(v) for v in value)
-    return convert(value)
+        return tuple(convert(key, v) for v in value)
+    return convert(key, value) if convert else value
 
 
 def _strict_int(key, value):
     # int() would truncate 1.7 to 1 and accept True as 1.
-    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+    if (isinstance(value, bool) or not isinstance(value, (numbers.Integral, float, str))
             or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
@@ -417,9 +377,25 @@ def _strict_int(key, value):
 
 def _strict_float(key, value):
     # float() would accept True as 1.0.
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except ValueError:
         raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+# Field -> strict converter (None: the mode string is checked, not converted).
+_SPEC_FIELDS = {
+    "mode": None,
+    "n_values": _strict_int,
+    "r": _strict_int,
+    "t": _strict_int,
+    "alpha": _strict_float,
+    "c_values": _strict_float,
+    "p_values": _strict_float,
+    "trials_per_point": _strict_int,
+    "master_seed": _strict_int,
+    "confidence": _strict_float,
+}
+_LIST_FIELDS = ("n_values", "c_values", "p_values")

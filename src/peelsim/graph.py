@@ -72,37 +72,16 @@ class BipartiteGraph:
         self.n_right = n_right
         self.u = u
         self.v = v
-        self._right_csr = None
 
     @property
     def edge_count(self) -> int:
         return int(self.u.size)
-
-    def left_degrees(self) -> np.ndarray:
-        return np.bincount(self.u, minlength=self.n_left)
-
-    def right_degrees(self) -> np.ndarray:
-        return np.bincount(self.v, minlength=self.n_right)
 
     def neighbors_of_left(self, i: int) -> np.ndarray:
         """Sorted right neighbors of left vertex i."""
         lo = np.searchsorted(self.u, i, side="left")
         hi = np.searchsorted(self.u, i, side="right")
         return self.v[lo:hi]
-
-    def neighbors_of_right(self, j: int) -> np.ndarray:
-        """Sorted left neighbors of right vertex j."""
-        indptr, indices = self._right_index()
-        return indices[indptr[j]:indptr[j + 1]]
-
-    def _right_index(self):
-        if self._right_csr is None:
-            order = np.lexsort((self.u, self.v))
-            indices = self.u[order]
-            counts = np.bincount(self.v, minlength=self.n_right)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            self._right_csr = (indptr, indices)
-        return self._right_csr
 
     def has_edge(self, i: int, j: int) -> bool:
         nbrs = self.neighbors_of_left(i)

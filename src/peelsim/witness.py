@@ -19,7 +19,6 @@ thresholds from which a valid witness is assembled.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -154,7 +153,7 @@ def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
     adj_l, adj_r = g.adjacency_sets()
     levels = _survival_sets(adj_l, adj_r, r, t)
-    top_left = levels[r][0] if r >= 1 else set(adj_l)
+    top_left = levels[r][0]
     if not top_left:
         return None
     return _build_config(g, adj_l, adj_r, min(top_left), r, levels)
@@ -202,19 +201,12 @@ def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig
     """Decode g; on failure, extract a verified witness from the residual.
 
     The root is the smallest left vertex still holding edges after the last
-    round.  Returns None on decoding success.  A failing decode whose
-    residual touches no left vertex would be anomalous (it cannot arise from
-    the row-final schedule); it is reported via warnings and yields None
-    rather than being silently dropped.
+    round.  Returns None on decoding success.
     """
     outcome = decode(g, params)
     if outcome.success:
         return None
-    residual_left = outcome.residual.u
-    if residual_left.size == 0:
-        warnings.warn("decode failed but the residual has no left vertex; no witness extracted")
-        return None
-    root = int(residual_left.min())
+    root = int(outcome.residual.u.min())
     if params.rounds == 0:
         # Degenerate witness: with no rounds, any nonempty pattern fails and
         # the bare root already satisfies the (0, t) conditions.

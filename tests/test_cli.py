@@ -385,6 +385,14 @@ def test_sweep_rejects_bool_probability(capsys, tmp_path):
     assert "c_values must be a number" in err
 
 
+def test_sweep_rejects_nan_c_at_load(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--c-values", "nan"])
+    assert code == 2 and out == ""
+    assert "every c must be positive" in err
+
+
 def test_sweep_incomplete_flags(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--mode", "CONSTANT_T_SWEEP"])
     assert code == 2

@@ -108,6 +108,7 @@ def test_params_validation():
 def test_fixpoint_empty_graph():
     out = decode_fixpoint(EMPTY, t=1)
     assert out.success and out.rounds_executed == 0 and out.trace == ()
+    assert out.residual is EMPTY
 
 
 def test_fixpoint_k22_stalls():
@@ -208,6 +209,22 @@ def test_fixpoint_matches_reference_decoder():
             assert not any(removed[steps:])
             assert fix.rounds_executed == max(
                 (k for k, m in enumerate(removed, start=1) if m), default=0)
+
+
+def test_fixpoint_stops_after_an_idle_pair_or_when_empty():
+    # The trace ends on the round that empties the graph, or else after the
+    # first row+column pair that removed nothing (never in mid-pair); a
+    # longer reference run places that stop independently.
+    for t in (1, 2):
+        for g in corpus(200, seed=29, max_side=7) + [mid_size_graph(t, 29)]:
+            fix = decode_fixpoint(g, t)
+            _, _, _, removed = ref_decode(g, 2 * len(fix.trace) + 3, t)
+            live, stop = g.edge_count, 0
+            while live and not (stop >= 2 and stop % 2 == 0
+                                and removed[stop - 2] == removed[stop - 1] == 0):
+                live -= removed[stop]
+                stop += 1
+            assert len(fix.trace) == stop
 
 
 # ---------------------------------------------------------------- properties

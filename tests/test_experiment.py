@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from peelsim import (
@@ -15,6 +17,8 @@ from peelsim import (
     load_spec,
     run_sweep,
     run_trial,
+    sample_bipartite,
+    threshold_p,
     trial_seed,
     wilson_interval,
     write_results,
@@ -59,14 +63,14 @@ def test_trial_seed_ignores_nothing():
 
 def test_trial_p_zero_succeeds():
     rec = run_trial(10, 0.0, DecodeParams(1, 1), seed=3)
-    assert rec.success and rec.edges_drawn == 0 and rec.residual_edges == 0
+    assert rec.success and rec.residual_edges == 0
     assert rec.one_round_success and rec.fixpoint_rounds == 0
 
 
 def test_trial_p_one_fails():
     rec = run_trial(10, 1.0, DecodeParams(1, 1), seed=3)
     assert not rec.success
-    assert rec.edges_drawn == 100 and rec.residual_edges == 100
+    assert rec.residual_edges == 100
     assert not rec.one_round_success
 
 
@@ -74,6 +78,20 @@ def test_trial_determinism():
     a = run_trial(30, 0.05, DecodeParams(2, 1), seed=77)
     b = run_trial(30, 0.05, DecodeParams(2, 1), seed=77)
     assert a == b
+
+
+def test_one_round_success_means_every_row_within_capability():
+    # run_trial reads this off the fixpoint run; check it against the row
+    # degrees of the same sampled graph, without the decoder.
+    for n in (12, 30):
+        for t in range(4):
+            for c in (0.5, 1.0, 2.0, 4.0):
+                p = min(1.0, c * threshold_p(n, 1, max(t, 1)))
+                for seed in range(10):
+                    g = sample_bipartite(n, n, p, seed)
+                    expect = g.edge_count == 0 or np.bincount(g.u).max() <= t
+                    rec = run_trial(n, p, DecodeParams(1 + seed % 3, t), seed)
+                    assert rec.one_round_success == expect, (n, t, c, seed)
 
 
 # -------------------------------------------------------------------- wilson
@@ -263,6 +281,29 @@ def test_json_round_trip():
         assert row["mean_rounds"] == point.mean_rounds_to_fixpoint
 
 
+# SHA-256 of the CSV and JSON of one small sweep per mode: any change to the
+# columns, their formatting or the point order shows here.  Unsorted n
+# values and a repeated c or p value are included on purpose.
+GOLDEN_SWEEPS = [
+    (dict(mode=CONSTANT_T_SWEEP, n_values=(16, 8), r=1, t=1, c_values=(1.0, 0.5, 1.0)),
+     "76b4aea5bd88950ebc86cfdfcb185681720c916b5409cbd4a6b5eab948f74b4f",
+     "e5676a895eda807a5667ebca08bd97c1a8be5a67181ce6c7d92b72868236648b"),
+    (dict(mode=LINEAR_REGIME_SWEEP, n_values=(30, 10), r=2, alpha=0.3, p_values=(0.4, 0.2, 0.2)),
+     "dc219f946c7010550edb9bc506040f3490fe52401a1ee8c2a59116d42937e63f",
+     "2b1a65516cc765ee37f9d74b5d8f3ebb8d44c97c139e69158aaedd31e3981561"),
+    (dict(mode=SINGLE_POINT, n_values=(12,), r=2, t=1, c_values=(1.0,)),
+     "c9394b0437107eaa0b55e9d8b14ba216280a226f66dd2f305d30013c5293395f",
+     "3bb3a165bf579cf46d0c1f66557d272d513decf35797e4fc5710fa7890e70b56"),
+]
+
+
+@pytest.mark.parametrize("fields,csv_sha,json_sha", GOLDEN_SWEEPS)
+def test_results_bytes_are_pinned(fields, csv_sha, json_sha):
+    results = run_sweep(ExperimentSpec(trials_per_point=20, master_seed=5, **fields))
+    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+        assert hashlib.sha256(write_results(results, fmt).encode()).hexdigest() == sha, fmt
+
+
 def test_writer_rejects_unknown_format():
     with pytest.raises(ValueError):
         write_results([], "xml")
@@ -350,6 +391,34 @@ def test_load_spec_rejects_scalar_list_fields(field, bad):
 def test_load_spec_rejects_non_scalar_values(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be"):
         load_spec(json.dumps({**JSON_SPEC, field: bad}))
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("trials_per_point", 2.5, "trials_per_point must be an integer"),
+    ("n_values", (20.7,), "n_values must be an integer"),
+    ("r", True, "r must be an integer"),
+    ("c_values", (math.nan,), "every c must be positive"),
+])
+def test_spec_built_in_python_is_validated_like_a_loaded_one(field, bad, message):
+    fields = {"mode": CONSTANT_T_SWEEP, "n_values": (8,), "r": 1, "t": 1,
+              "c_values": (1.0,), "trials_per_point": 4, "master_seed": 0, field: bad}
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(**fields)
+
+
+def test_spec_built_in_python_takes_numpy_integers():
+    spec = ExperimentSpec(CONSTANT_T_SWEEP, (np.int64(8),), np.int64(1), 4, 0, t=1, c_values=(1,))
+    assert spec.n_values == (8,) and type(spec.n_values[0]) is int and type(spec.r) is int
+    assert spec.c_values == (1.0,) and type(spec.c_values[0]) is float
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**JSON_SPEC, "c_values": "nan"}),
+    "mode = SINGLE_POINT\nn_values = 8\nr = 1\nt = 1\nc_values = nan\ntrials_per_point = 4\n",
+])
+def test_load_spec_rejects_nan_c(text):
+    with pytest.raises(ValueError, match="c must be positive"):
+        load_spec(text)
 
 
 def test_load_spec_accepts_integral_floats():
