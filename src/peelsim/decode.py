@@ -174,7 +174,9 @@ class _MaskEngine:
         g = self.g
         ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
         deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
-        qualifies = (deg > 0) & (deg <= self.t)
+        # In place, so a round holds one n-length temporary fewer.
+        qualifies = deg <= self.t
+        qualifies &= deg > 0
         if not qualifies.any():
             self.stuck.add(side)
             return RoundRecord(side, (), 0)

@@ -207,10 +207,12 @@ def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     round-limited schedule and to fixpoint."""
     g = sample_bipartite(n, n, p, seed)
     outcome = decode(g, params)
+    success, residual_edges = outcome.success, outcome.residual.edge_count
+    del outcome  # free its trace's n-length masks before the fixpoint run
     fix = decode_fixpoint(g, params.t)
     return TrialRecord(
-        success=outcome.success,
-        residual_edges=outcome.residual.edge_count,
+        success=success,
+        residual_edges=residual_edges,
         one_round_success=fix.success and fix.rounds_executed <= 1,
         fixpoint_rounds=fix.rounds_executed,
     )
@@ -369,10 +371,13 @@ def _coerce_field(key, value):
 
 def _strict_int(key, value):
     # int() would truncate 1.7 to 1 and accept True as 1.
-    if (isinstance(value, bool) or not isinstance(value, (numbers.Integral, float, str))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if not isinstance(value, bool) and (isinstance(value, (numbers.Integral, str))
+                                        or isinstance(value, float) and value.is_integer()):
+        try:
+            return int(value)
+        except ValueError:  # text that is not an integer, such as "1.5"
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _strict_float(key, value):

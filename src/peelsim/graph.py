@@ -92,18 +92,6 @@ class BipartiteGraph:
         """Iterate edges as (left, right) int pairs in canonical order."""
         return zip(self.u.tolist(), self.v.tolist())
 
-    def adjacency_sets(self):
-        """Fresh mutable adjacency dicts (left->set of rights, right->set of lefts).
-
-        Only vertices with at least one edge appear as keys.
-        """
-        adj_l: dict[int, set[int]] = {}
-        adj_r: dict[int, set[int]] = {}
-        for i, j in zip(self.u.tolist(), self.v.tolist()):
-            adj_l.setdefault(i, set()).add(j)
-            adj_r.setdefault(j, set()).add(i)
-        return adj_l, adj_r
-
     def _masked(self, keep: np.ndarray) -> "BipartiteGraph":
         # Subgraph on the same vertex sets; mask preserves lexicographic order.
         return BipartiteGraph._from_sorted(self.n_left, self.n_right, self.u[keep], self.v[keep])

@@ -35,13 +35,17 @@ DECODABLE_ONE_ROUND = "DECODABLE_ONE_ROUND"
 UNDECODABLE_ALL_ROUNDS = "UNDECODABLE_ALL_ROUNDS"
 AT_THRESHOLD = "AT_THRESHOLD"
 
+# Exact automorphism counts stop at 10**4300, Python's default int -> str
+# limit; past it the integer (about t!**(t**(r-1))) may never finish building.
+_EXACT_LOG_AUTOMORPHISMS = 4300 * math.log(10.0)
+
 
 @dataclass(frozen=True)
 class TreeStats:
     """Exact counts for the exact (r, t)-tree.
 
-    edges/vertices/left_vertices/right_vertices and automorphisms are exact
-    integers (automorphisms grows very fast); log_automorphisms is the
+    edges/vertices/left_vertices/right_vertices are exact integers, and so is
+    automorphisms below 10**4300 (None above); log_automorphisms is the
     natural log computed in log space, safe far beyond float range.
     """
 
@@ -51,7 +55,7 @@ class TreeStats:
     vertices: int
     left_vertices: int
     right_vertices: int
-    automorphisms: int
+    automorphisms: int | None
     log_automorphisms: float
 
 
@@ -81,8 +85,10 @@ def tree_stats(r: int, t: int) -> TreeStats:
     else:
         # One (t+1)! for the root's subtrees, one t! per internal non-root vertex.
         internal_non_root = (t + 1) * (t ** (r - 1) - 1) // (t - 1)
-        autos = math.factorial(t + 1) * math.factorial(t) ** internal_non_root
         log_autos = math.lgamma(t + 2) + internal_non_root * math.lgamma(t + 1)
+        autos = None
+        if log_autos < _EXACT_LOG_AUTOMORPHISMS:
+            autos = math.factorial(t + 1) * math.factorial(t) ** internal_non_root
     return TreeStats(r, t, edges, vertices, left, right, autos, log_autos)
 
 

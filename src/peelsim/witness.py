@@ -15,6 +15,9 @@ and a vertex survives level k when at least t+1 of its neighbors survive
 level k-1.  A left vertex surviving level r is precisely a vertex the
 decoder leaves uncorrected, and the survival levels give the layer
 thresholds from which a valid witness is assembled.
+
+Every search runs over one side-tagged adjacency, ("L", i) for left and
+("R", j) for right vertices, so no search branches on the side.
 """
 
 from __future__ import annotations
@@ -76,28 +79,40 @@ def verify_config(g: BipartiteGraph, cfg: UndecodableConfig, r: int, t: int) -> 
         if not g.has_edge(i, j):
             return False
 
-    adj: dict[tuple[str, int], set[tuple[str, int]]] = {}
-    for i, j in cfg.edges:
-        adj.setdefault(("L", i), set()).add(("R", j))
-        adj.setdefault(("R", j), set()).add(("L", i))
-    verts = set(adj)
-    verts.add(("L", cfg.root))
-
+    adj = _adjacency(cfg.edges)
     dist = _bfs_dist(adj, ("L", cfg.root))
     # Coverage: every configuration vertex within walk distance r of the root.
-    if any(v not in dist or dist[v] > r for v in verts):
+    if any(v not in dist or dist[v] > r for v in adj):
         return False
     # Layers must be the exact walk-reachability sets.
-    for depth in range(r + 1):
-        side = "L" if depth % 2 == 0 else "R"
-        expect = {x for (s, x), d in dist.items() if s == side and d <= depth and (depth - d) % 2 == 0}
-        if cfg.layers[depth] != expect:
-            return False
+    if tuple(cfg.layers) != _layers(dist, r):
+        return False
     # Degree floor everywhere except the deepest layer.
-    for v, d in dist.items():
-        if d <= r - 1 and len(adj.get(v, ())) < t + 1:
-            return False
-    return True
+    return all(d >= r or len(adj.get(v, ())) > t for v, d in dist.items())
+
+
+def _adjacency(edges):
+    """Side-tagged adjacency of (left, right) edges; only vertices with an
+    edge appear as keys."""
+    adj: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    for i, j in edges:
+        adj.setdefault(("L", i), set()).add(("R", j))
+        adj.setdefault(("R", j), set()).add(("L", i))
+    return adj
+
+
+def _edge(x, y):
+    # Two tagged endpoints of one edge, as its (left, right) pair.
+    return (x[1], y[1]) if x[0] == "L" else (y[1], x[1])
+
+
+def _layers(dist, r):
+    # N_depth holds every vertex at distance d <= depth with depth - d even.
+    # From a left root the parity of d already fixes the side.
+    return tuple(
+        frozenset(x for (_, x), d in dist.items() if d <= depth and (depth - d) % 2 == 0)
+        for depth in range(r + 1)
+    )
 
 
 def _bfs_dist(adj, root):
@@ -112,32 +127,17 @@ def _bfs_dist(adj, root):
     return dist
 
 
-def _survival_sets(adj_l, adj_r, r: int, t: int):
-    """Survival levels 0..r as (left-set, right-set) pairs.
+def _survival_sets(adj, r: int, t: int):
+    """Survival levels 0..r as tagged vertex sets.
 
     Level 0 is every vertex; a vertex survives level k when >= t+1 of its
     neighbors survive level k-1.  Levels shrink as k grows."""
-    need = t + 1
-    cur_l = set(adj_l)
-    cur_r = set(adj_r)
-    levels = [(None, None)]  # level 0 is implicit: everything survives
+    alive = set(adj)
+    levels = [None]  # level 0 is implicit: everything survives
     for _ in range(r):
-        nxt_l = {x for x, nbrs in adj_l.items() if _count_in(nbrs, cur_r, need)}
-        nxt_r = {y for y, nbrs in adj_r.items() if _count_in(nbrs, cur_l, need)}
-        levels.append((nxt_l, nxt_r))
-        cur_l, cur_r = nxt_l, nxt_r
+        alive = {x for x, nbrs in adj.items() if len(nbrs & alive) > t}
+        levels.append(alive)
     return levels
-
-
-def _count_in(nbrs, allowed, need):
-    # level 1 counts raw degree (allowed is the full side)
-    hits = 0
-    for x in nbrs:
-        if x in allowed:
-            hits += 1
-            if hits >= need:
-                return True
-    return False
 
 
 def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
@@ -151,50 +151,35 @@ def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
     if not isinstance(t, int) or t < 0:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
-    adj_l, adj_r = g.adjacency_sets()
-    levels = _survival_sets(adj_l, adj_r, r, t)
-    top_left = levels[r][0]
-    if not top_left:
-        return None
-    return _build_config(g, adj_l, adj_r, min(top_left), r, levels)
+    adj = _adjacency(g.edges())
+    levels = _survival_sets(adj, r, t)
+    roots = [x for x in levels[r] if x[0] == "L"]
+    return _build_config(adj, min(roots), r, levels) if roots else None
 
 
-def _build_config(g, adj_l, adj_r, root, r, levels) -> UndecodableConfig:
+def _build_config(adj, root, r, levels) -> UndecodableConfig:
     # Attach each vertex's edges once, on first reach at depth d: all
     # neighbors surviving level r-d-1 join the next layer.  Filtering by the
     # first-reach depth (the deepest applicable threshold) keeps every
     # shallow vertex thick enough; re-attaching at later nested appearances
     # would leak thin vertices into shallow layers.
-    dist = {("L", root): 0}
+    dist = {root: 0}
     edges = set()
-    q = deque([("L", root)])
+    q = deque([root])
     while q:
-        side, x = q.popleft()
-        d = dist[(side, x)]
+        x = q.popleft()
+        d = dist[x]
         if d >= r:
             continue
-        level = r - d - 1
-        if side == "L":
-            nbrs = adj_l.get(x, ())
-            allowed = levels[level][1] if level >= 1 else None
-        else:
-            nbrs = adj_r.get(x, ())
-            allowed = levels[level][0] if level >= 1 else None
-        for y in nbrs:
+        allowed = levels[r - d - 1]
+        for y in adj.get(x, ()):
             if allowed is not None and y not in allowed:
                 continue
-            edges.add((x, y) if side == "L" else (y, x))
-            key = ("R" if side == "L" else "L", y)
-            if key not in dist:
-                dist[key] = d + 1
-                q.append(key)
-    layers = []
-    for depth in range(r + 1):
-        side = "L" if depth % 2 == 0 else "R"
-        layers.append(frozenset(
-            x for (s, x), d in dist.items() if s == side and d <= depth and (depth - d) % 2 == 0
-        ))
-    return UndecodableConfig(root, tuple(layers), frozenset(edges))
+            edges.add(_edge(x, y))
+            if y not in dist:
+                dist[y] = d + 1
+                q.append(y)
+    return UndecodableConfig(root[1], _layers(dist, r), frozenset(edges))
 
 
 def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig | None:
@@ -206,14 +191,11 @@ def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig
     outcome = decode(g, params)
     if outcome.success:
         return None
-    root = int(outcome.residual.u.min())
-    if params.rounds == 0:
-        # Degenerate witness: with no rounds, any nonempty pattern fails and
-        # the bare root already satisfies the (0, t) conditions.
-        return UndecodableConfig(root, (frozenset([root]),), frozenset())
-    adj_l, adj_r = g.adjacency_sets()
-    levels = _survival_sets(adj_l, adj_r, params.rounds, params.t)
-    cfg = _build_config(g, adj_l, adj_r, root, params.rounds, levels)
+    # With no rounds every nonempty pattern fails, and the witness is the
+    # bare root: _build_config attaches no edges at r = 0.
+    root = ("L", int(outcome.residual.u.min()))
+    adj = _adjacency(g.edges())
+    cfg = _build_config(adj, root, params.rounds, _survival_sets(adj, params.rounds, params.t))
     if not verify_config(g, cfg, params.rounds, params.t):
         raise RuntimeError("extracted configuration failed verification; this is a bug")
     return cfg
@@ -231,43 +213,31 @@ def count_exact_trees(g: BipartiteGraph, r: int, t: int) -> int:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
-    adj_l, adj_r = g.adjacency_sets()
-    sorted_l = {x: sorted(nbrs) for x, nbrs in adj_l.items()}
-    sorted_r = {y: sorted(nbrs) for y, nbrs in adj_r.items()}
+    adj = {x: sorted(nbrs) for x, nbrs in _adjacency(g.edges()).items()}
     total = 0
-    for root in sorted(adj_l):
-        used_l = {root}
-        total += _count_placements(
-            deque([("L", root, 0)]), sorted_l, sorted_r, used_l, set(), r, t
-        )
+    for root in sorted(x for x in adj if x[0] == "L"):
+        total += _count_placements(deque([(root, 0)]), adj, {root}, r, t)
     return total
 
 
-def _count_placements(pending, sorted_l, sorted_r, used_l, used_r, r, t):
+def _count_placements(pending, adj, used, r, t):
     # Children are chosen as unordered sets at each node, so every distinct
     # image subgraph is produced by exactly one choice sequence.
     if not pending:
         return 1
-    side, x, depth = pending.popleft()
-    need = t + 1 if depth == 0 else t
-    if side == "L":
-        nbrs, used_other = sorted_l.get(x, ()), used_r
-    else:
-        nbrs, used_other = sorted_r.get(x, ()), used_l
-    cands = [y for y in nbrs if y not in used_other]
+    x, depth = pending.popleft()
+    cands = [y for y in adj.get(x, ()) if y not in used]
     count = 0
-    if len(cands) >= need:
-        child_side = "R" if side == "L" else "L"
-        for combo in combinations(cands, need):
-            used_other.update(combo)
-            if depth + 1 < r:
-                pending.extend((child_side, y, depth + 1) for y in combo)
-            count += _count_placements(pending, sorted_l, sorted_r, used_l, used_r, r, t)
-            if depth + 1 < r:
-                for _ in combo:
-                    pending.pop()
-            used_other.difference_update(combo)
-    pending.appendleft((side, x, depth))
+    for combo in combinations(cands, t + 1 if depth == 0 else t):
+        used.update(combo)
+        if depth + 1 < r:
+            pending.extend((y, depth + 1) for y in combo)
+        count += _count_placements(pending, adj, used, r, t)
+        if depth + 1 < r:
+            for _ in combo:
+                pending.pop()
+        used.difference_update(combo)
+    pending.appendleft((x, depth))
     return count
 
 
@@ -281,12 +251,10 @@ def find_short_cycle(g: BipartiteGraph, max_len: int):
     """
     if not isinstance(max_len, int) or max_len < 4 or max_len % 2 != 0:
         raise ValueError(f"max_len must be an even integer >= 4, got {max_len!r}")
-    adj_l, adj_r = g.adjacency_sets()
-    adj = {("L", x): {("R", y) for y in nbrs} for x, nbrs in adj_l.items()}
-    adj.update({("R", y): {("L", x) for x in nbrs} for y, nbrs in adj_r.items()})
+    adj = _adjacency(g.edges())
     depth_cap = max_len // 2 - 1
-    for start in sorted(adj_l):
-        cycle = _bfs_cycle(adj, ("L", start), depth_cap)
+    for start in sorted(x for x in adj if x[0] == "L"):
+        cycle = _bfs_cycle(adj, start, depth_cap)
         if cycle is not None and len(cycle) <= max_len:
             return cycle
     return None
@@ -327,12 +295,7 @@ def _close_cycle(parent, dist, x, y):
         py.append(b)
     # px ends at the fork; py likewise.  Cycle: fork -> ... -> x -> y -> ... -> fork.
     seq = px[::-1] + py[:-1]
-    edges = []
-    for k in range(len(seq)):
-        s1, i1 = seq[k]
-        s2, i2 = seq[(k + 1) % len(seq)]
-        edges.append((i1, i2) if s1 == "L" else (i2, i1))
-    return tuple(edges)
+    return tuple(_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1]))
 
 
 def serialize_config(cfg: UndecodableConfig, n_left: int, n_right: int) -> str:

@@ -363,6 +363,14 @@ def test_sweep_rejects_fractional_rounds(capsys, tmp_path):
     assert "r must be an integer" in err
 
 
+def test_sweep_rejects_bad_integer_flag(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--n-values", "20,x"])
+    assert code == 2 and out == ""
+    assert "n_values must be an integer, got 'x'" in err
+
+
 def test_sweep_rejects_scalar_list_field(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -405,6 +413,19 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["gen", "--frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["-r", "40", "-t", "9"], "automorphisms=None "),
+    (["-r", "7", "-t", "7", "--format", "json"], '"automorphisms": null'),
+])
+def test_theory_huge_trees_return(argv, expect):
+    proc = subprocess.run(
+        [sys.executable, "-m", "peelsim", "theory", *argv],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
 
 
 def test_module_entry_point():

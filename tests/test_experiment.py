@@ -372,6 +372,15 @@ def test_load_spec_rejects_inexact_integers(field, bad):
         load_spec(json.dumps(raw))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("r = 1.5", "r must be an integer, got '1.5'"),
+    ("n_values = 8, x", "n_values must be an integer, got 'x'"),
+])
+def test_load_spec_names_the_field_of_bad_integer_text(line, message):
+    with pytest.raises(ValueError, match=message):
+        load_spec(KV_SPEC + line + "\n")
+
+
 @pytest.mark.parametrize("field", ["alpha", "c_values", "p_values", "confidence"])
 def test_load_spec_rejects_bool_numbers(field):
     raw = {**JSON_SPEC, field: [True] if field.endswith("_values") else True}

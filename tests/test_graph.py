@@ -59,14 +59,6 @@ def test_neighbor_views_are_consistent():
         assert int(np.bincount(g.v, minlength=g.n_right).sum()) == g.edge_count
 
 
-def test_adjacency_sets_are_fresh_copies():
-    g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
-    adj_l, _ = g.adjacency_sets()
-    adj_l[0].add(1)
-    adj_l2, _ = g.adjacency_sets()
-    assert adj_l2[0] == {0}
-
-
 def test_edge_arrays_are_immutable():
     g = BipartiteGraph(2, 2, [(0, 0)])
     with pytest.raises(ValueError):

@@ -78,6 +78,26 @@ def test_log_automorphisms_accuracy():
         assert math.isclose(s.log_automorphisms, math.log(s.automorphisms), rel_tol=1e-12)
 
 
+def test_exact_automorphisms_stop_at_4300_digits():
+    # Past 10**4300 only the log is kept: the exact integer would take
+    # unbounded time to build and could not be printed.
+    for t in (2, 3, 7):
+        r = 1
+        while tree_stats(r + 1, t).automorphisms is not None:
+            r += 1
+        assert len(str(tree_stats(r, t).automorphisms)) <= 4300
+        assert tree_stats(r + 1, t).log_automorphisms >= 4300 * math.log(10)
+    s = tree_stats(7, 7)
+    assert s.automorphisms is None
+    assert math.isclose(s.log_automorphisms, math.lgamma(9) + 156864 * math.lgamma(8), rel_tol=1e-12)
+
+
+def test_threshold_for_huge_trees_returns():
+    p = threshold_p(100, 40, 9)
+    assert 0.0 < p < 1.0
+    assert tree_stats(40, 9).automorphisms is None
+
+
 def test_counts_increase_with_parameters():
     for t in (2, 3):
         for r in (1, 2, 3):

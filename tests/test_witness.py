@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from peelsim import (
     extract_config,
     find_config,
     find_short_cycle,
+    sample_bipartite,
     serialize_config,
+    threshold_p,
     verify_config,
 )
 
@@ -375,3 +379,36 @@ def test_serialize_config_k22():
         "1 0\n"
         "1 1\n"
     )
+
+
+# ------------------------------------------------------------------ pinned outputs
+
+# SHA-256 of the canonical text of every search result below.  It pins
+# which witness and which cycle each search returns, not only their
+# validity, so reworking a search must return the same objects.
+WITNESS_SHA = "2cad6b57148ed8dde0d5c590c18233438712d21c598861b9410d97c2e60f5e31"
+
+
+def _pin_cases():
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        yield random_graph(rng, max_side=7), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    # Census shape: G(300, 300, 1.5 p*) at r=2, t=1.
+    p = 1.5 * threshold_p(300, 2, 1)
+    for seed in range(200):
+        yield sample_bipartite(300, 300, p, seed), 2, 1
+
+
+def test_witness_outputs_are_pinned():
+    h = hashlib.sha256()
+    for g, r, t in _pin_cases():
+        cfg = find_config(g, r, t)
+        wit = extract_config(g, DecodeParams(rounds=r, t=t))
+        parts = [serialize_config(c, g.n_left, g.n_right) if c else "None" for c in (cfg, wit)]
+        if cfg is not None:
+            parts.append(f"{verify_config(g, cfg, r, t)} {verify_config(g, cfg, r, t + 1)}")
+        if t >= 1:
+            parts.append(str(count_exact_trees(g, r, t)))
+        parts.extend(repr(find_short_cycle(g, max_len)) for max_len in (4, 6, 8))
+        h.update(("\n".join(parts) + "\n--\n").encode())
+    assert h.hexdigest() == WITNESS_SHA
