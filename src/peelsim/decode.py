@@ -20,6 +20,7 @@ no-ops without touching the edge arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -156,6 +157,9 @@ class _MaskEngine:
     nothing again, so its round returns a no-op at once.  ``rounds`` counts
     every round run, no-ops included, and ``last_removal`` is the number of
     the last round that removed an edge (0 before any removal).
+
+    ``round`` runs one round and records it; ``peel`` runs alternating
+    rounds without records, for callers that read only the counts.
     """
 
     def __init__(self, g: BipartiteGraph, t: int):
@@ -168,9 +172,25 @@ class _MaskEngine:
         self.last_removal = 0
 
     def round(self, side: str) -> RoundRecord:
+        before = self.live_edges
+        cleared = self._clear(side)
+        return RoundRecord(side, () if cleared is None else cleared, before - self.live_edges)
+
+    def peel(self, first: str, limit: float = math.inf) -> None:
+        """Run rounds with `first` on the odd-numbered ones and the other side
+        on the even-numbered ones, until `limit` rounds have run in all or
+        the state is a fixpoint (graph empty or both sides stuck), after
+        which every round would be a no-op."""
+        other = COLS if first == ROWS else ROWS
+        while self.live_edges and len(self.stuck) < 2 and self.rounds < limit:
+            self._clear(other if self.rounds % 2 else first)
+
+    def _clear(self, side: str):
+        # One round on side: the mask of cleared vertices, or None when it
+        # removed nothing.
         self.rounds += 1
         if self.live_edges == 0 or side in self.stuck:
-            return RoundRecord(side, (), 0)
+            return None
         g = self.g
         ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
         deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
@@ -179,7 +199,7 @@ class _MaskEngine:
         qualifies &= deg > 0
         if not qualifies.any():
             self.stuck.add(side)
-            return RoundRecord(side, (), 0)
+            return None
         # Every cleared vertex has a live edge, so this round removes some.
         kill = qualifies[ends]
         if self.alive is None:
@@ -187,11 +207,10 @@ class _MaskEngine:
         else:
             kill &= self.alive
             self.alive ^= kill
-        removed = int(np.count_nonzero(kill))
-        self.live_edges -= removed
+        self.live_edges -= int(np.count_nonzero(kill))
         self.stuck.clear()
         self.last_removal = self.rounds
-        return RoundRecord(side, qualifies, removed)
+        return qualifies
 
     def residual(self) -> BipartiteGraph:
         """The live edges; g itself when the rounds removed nothing."""

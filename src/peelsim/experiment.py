@@ -16,7 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from statistics import NormalDist
 
-from .decode import DecodeParams, decode, decode_fixpoint
+# decode and decode_fixpoint are not called here, but stay importable from
+# this module: the benchmark's traced replay (perfbench/workloads.py) wraps
+# them by name.
+from .decode import COLS, ROWS, DecodeParams, _MaskEngine, decode, decode_fixpoint  # noqa: F401
 from .graph import sample_bipartite
 from .theory import asymptotic_success, linear_regime_prediction, threshold_p
 
@@ -79,11 +82,12 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int, trials_per_
 class TrialRecord:
     """Outcome of one sampled pattern.
 
-    success and residual_edges come from the round-limited decode;
-    fixpoint_rounds is the effective round count of unlimited peeling on the
-    same pattern.  one_round_success reports whether a single row round
-    alone finishes the pattern (every row within capability); it is read
-    off the fixpoint run, whose first round decodes rows.
+    success and residual_edges are those of ``decode`` with the trial's
+    params; fixpoint_rounds is the effective round count of
+    ``decode_fixpoint`` on the same pattern.  one_round_success reports
+    whether a single row round alone finishes the pattern (every row within
+    capability); it is read off the fixpoint run, whose first round decodes
+    rows.  ``run_trial`` computes all four without building either outcome.
     """
 
     success: bool
@@ -204,17 +208,28 @@ class PointEstimate:
 
 def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     """Sample G(n, n, p) with the given seed and decode it both with the
-    round-limited schedule and to fixpoint."""
+    round-limited schedule and to fixpoint.
+
+    The last scheduled round decodes rows, so for odd r the schedule starts
+    with rows, as the fixpoint run does, and is exactly that run's first r
+    rounds: one engine serves both, read after round r and again at the
+    fixpoint.  For even r (or 0) the schedule starts with columns and runs
+    on an engine of its own.  Either run stops at its fixpoint, since later
+    rounds are no-ops, so a huge r costs no more than the fixpoint.
+    """
     g = sample_bipartite(n, n, p, seed)
-    outcome = decode(g, params)
-    success, residual_edges = outcome.success, outcome.residual.edge_count
-    del outcome  # free its trace's n-length masks before the fixpoint run
-    fix = decode_fixpoint(g, params.t)
+    run = _MaskEngine(g, params.t)
+    odd = params.rounds % 2 == 1
+    run.peel(ROWS if odd else COLS, params.rounds)
+    residual_edges = run.live_edges
+    if not odd:
+        run = _MaskEngine(g, params.t)
+    run.peel(ROWS)
     return TrialRecord(
-        success=success,
+        success=residual_edges == 0,
         residual_edges=residual_edges,
-        one_round_success=fix.success and fix.rounds_executed <= 1,
-        fixpoint_rounds=fix.rounds_executed,
+        one_round_success=run.live_edges == 0 and run.last_removal <= 1,
+        fixpoint_rounds=run.last_removal,
     )
 
 

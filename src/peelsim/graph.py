@@ -9,6 +9,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 _SEED_SPACE = 2**64
+# One generator per thread, re-keyed for every sample (see sample_bipartite).
+_local = threading.local()
+_ZEROS = (0, 0, 0, 0)
 
 
 class BipartiteGraph:
@@ -212,7 +216,10 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
     skip sampling, so the expected cost is proportional to the number of
     edges drawn rather than to the number of cells.  The generator is Philox
     (counter-based) keyed by the 64-bit seed; identical arguments reproduce
-    the identical graph on any platform.
+    the identical graph on any platform.  Each thread keeps one Generator
+    and re-keys it per call to the state a fresh ``Philox(key=seed)`` starts
+    in, so the stream is that of a new generator without the cost of
+    building one.
     """
     if n_left < 1 or n_right < 1:
         raise ValueError(f"need n_left, n_right >= 1, got {n_left}, {n_right}")
@@ -226,10 +233,26 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
     elif p == 1.0:
         cells = np.arange(n_cells, dtype=np.int64)
     else:
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        cells = _skip_sample(gen, n_cells, p)
+        cells = _skip_sample(_keyed_generator(seed), n_cells, p)
     u, v = np.divmod(cells, n_right)
     return BipartiteGraph._from_sorted(n_left, n_right, u, v)
+
+
+def _keyed_generator(seed: int) -> np.random.Generator:
+    # Building Philox(key=seed) would also draw OS entropy for a SeedSequence
+    # that a keyed generator never reads.
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (seed, 0)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _skip_sample(gen, n_cells: int, p: float) -> np.ndarray:

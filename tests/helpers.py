@@ -22,6 +22,17 @@ def ref_sample_mask(n_left, n_right, p, rng):
     return rng.random((n_left, n_right)) < p
 
 
+def exact_success_one_round(n, p, t):
+    """Exact P[one row round decodes G(n, n, p)] at capability t.
+
+    One row round succeeds exactly when every row holds at most t erasures;
+    the n row degrees are independent Bin(n, p), so the probability is
+    P[Bin(n, p) <= t] ** n.
+    """
+    row_ok = sum(comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(t + 1))
+    return row_ok**n
+
+
 def mask_to_graph(mask) -> BipartiteGraph:
     edges = [(int(i), int(j)) for i, j in np.argwhere(mask)]
     return BipartiteGraph(mask.shape[0], mask.shape[1], edges)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import random
+import signal
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from peelsim import (
     SINGLE_POINT,
     DecodeParams,
     ExperimentSpec,
+    TrialRecord,
     asymptotic_success,
+    decode,
+    decode_fixpoint,
     linear_regime_prediction,
     load_spec,
     run_sweep,
@@ -23,6 +28,8 @@ from peelsim import (
     wilson_interval,
     write_results,
 )
+
+from helpers import exact_success_one_round
 
 SMALL_SWEEP = ExperimentSpec(
     mode=CONSTANT_T_SWEEP,
@@ -92,6 +99,64 @@ def test_one_round_success_means_every_row_within_capability():
                     expect = g.edge_count == 0 or np.bincount(g.u).max() <= t
                     rec = run_trial(n, p, DecodeParams(1 + seed % 3, t), seed)
                     assert rec.one_round_success == expect, (n, t, c, seed)
+
+
+def _reference_trial(n, p, params, seed):
+    # The trial composed from the public decoders' outcomes.
+    g = sample_bipartite(n, n, p, seed)
+    limited = decode(g, params)
+    fix = decode_fixpoint(g, params.t)
+    return TrialRecord(
+        success=limited.success,
+        residual_edges=limited.residual.edge_count,
+        one_round_success=fix.success and fix.rounds_executed <= 1,
+        fixpoint_rounds=fix.rounds_executed,
+    )
+
+
+def _agreement_cases():
+    rng = random.Random(2026)
+    for i in range(3500):
+        n, r, t = rng.randint(2, 40), i % 7, rng.randint(0, 3)
+        kind = i % 10
+        # Mostly near the capability, where peeling takes several rounds.
+        p = 0.0 if kind == 0 else 1.0 if kind == 1 else rng.uniform(0.0, min(1.0, 3.0 * (t + 1) / n))
+        yield n, p, DecodeParams(r, t), rng.getrandbits(64)
+    for i, c in enumerate((0.5, 1.0, 2.0, 4.0)):
+        yield 2000, c * threshold_p(2000, 1, 1), DecodeParams(1, 1), trial_seed(1, 0, i, 4)
+    yield 100_000, threshold_p(100_000, 2, 2), DecodeParams(2, 2), trial_seed(2, 0, 0, 1)
+
+
+def test_trial_agrees_with_the_public_decoders():
+    for n, p, params, seed in _agreement_cases():
+        assert run_trial(n, p, params, seed) == _reference_trial(n, p, params, seed), (n, p, params, seed)
+
+
+@pytest.mark.parametrize("r", [10**9, 10**9 + 1])
+def test_sweep_at_huge_r_returns(r):
+    # Rounds past the fixpoint are no-ops, so both schedules stop there.
+    def give_up(signum, frame):
+        raise TimeoutError(f"run_sweep at r={r} did not return")
+
+    spec = ExperimentSpec(LINEAR_REGIME_SWEEP, (20,), r, 3, 0, alpha=0.3, p_values=(0.2,))
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        (point,) = run_sweep(spec)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert point.r == r and point.trials == 3
+
+
+def test_one_round_sweeps_match_the_exact_success():
+    # r = t = 1 succeeds with probability P[Bin(n, p) <= 1] ** n at every n.
+    # Points, trial count and seed were fixed before the first run.
+    spec = ExperimentSpec(CONSTANT_T_SWEEP, (100, 400, 1600), 1, 8000, 20261018, t=1, c_values=(1.0,))
+    for point in run_sweep(spec):
+        exact = exact_success_one_round(point.n, threshold_p(point.n, 1, 1), 1)
+        z = (point.p_hat - exact) / math.sqrt(exact * (1.0 - exact) / point.trials)
+        assert abs(z) <= 4.0, (point.n, point.p_hat, exact, z)
 
 
 # -------------------------------------------------------------------- wilson

@@ -1,3 +1,7 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,8 @@ from peelsim import (
     parse_grid,
     sample_bipartite,
     serialize_graph,
+    threshold_p,
+    trial_seed,
     write_grid,
 )
 
@@ -192,6 +198,61 @@ def test_sample_golden_value():
     # accidental change; the stream is part of the reproducibility contract.
     g = sample_bipartite(5, 5, 0.4, 12345)
     assert serialize_graph(g) == "5 5 8\n0 2\n1 0\n1 4\n2 0\n2 1\n3 0\n4 0\n4 1\n"
+
+
+# (n, p) of the benchmark's workloads: threshold_small at c = 1,
+# threshold_large, dense_stuck at both p, witness_census.
+WORKLOAD_SHAPES = [
+    (2000, threshold_p(2000, 1, 1)),
+    (100_000, threshold_p(100_000, 2, 2)),
+    (500, 0.2),
+    (500, 0.4),
+    (300, 1.5 * threshold_p(300, 2, 1)),
+]
+# p within 1e-9 of 0 (about ten edges) and of 1 (about no missing cell).
+EXTREME_SHAPES = [(100_000, 1e-9), (300, 1.0 - 1e-9)]
+
+
+def test_sampled_graphs_are_pinned():
+    # SHA-256 over the u and v bytes of 200 graphs per workload shape, then
+    # every shape at seeds 0, 2**63 and 2**64 - 1; recorded while each call
+    # still built its own Generator(Philox(key=seed)).  About 36M edges.
+    h = hashlib.sha256()
+    graphs = [(n, p, trial_seed(0, k, i, 200)) for k, (n, p) in enumerate(WORKLOAD_SHAPES) for i in range(200)]
+    graphs += [(n, p, seed) for n, p in WORKLOAD_SHAPES + EXTREME_SHAPES for seed in (0, 2**63, 2**64 - 1)]
+    for n, p, seed in graphs:
+        g = sample_bipartite(n, n, p, seed)
+        h.update(g.u.tobytes())
+        h.update(g.v.tobytes())
+    assert h.hexdigest() == "872482c666137f9a28d405571679c90e8a2752c8c5817c0cb4318bdacf421c19"
+
+
+def test_threads_sample_the_serial_graphs():
+    # Four threads sample interleaved seeds at once; each must get exactly
+    # the graph a serial call gives for its seed.
+    k = 4
+    seeds = [trial_seed(3, 0, i, 400) for i in range(400)]
+    serial = [sample_bipartite(60, 60, 0.05, s) for s in seeds]
+    start = threading.Barrier(k)
+    got = {}
+
+    def work(j):
+        start.wait()
+        got[j] = [sample_bipartite(60, 60, 0.05, s) for s in seeds[j::k]]
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(k)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside sampling calls
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for j in range(k):
+        assert got[j] == serial[j::k], j
 
 
 def test_sample_rejects_bad_arguments():
