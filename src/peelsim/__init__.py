@@ -12,7 +12,6 @@ from .decode import (
     RoundRecord,
     decode,
     decode_fixpoint,
-    side_schedule,
 )
 from .experiment import (
     CONSTANT_T_SWEEP,
@@ -104,7 +103,6 @@ __all__ = [
     "sample_bipartite",
     "serialize_config",
     "serialize_graph",
-    "side_schedule",
     "threshold_p",
     "tree_stats",
     "trial_seed",

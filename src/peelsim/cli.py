@@ -3,8 +3,9 @@
 Subcommands: gen (sample a pattern), decode (peel a pattern), detect
 (witnesses, short cycles, exact-tree counts), theory (closed forms),
 sweep (Monte Carlo).  Exit codes: 0 on success, 1 when --strict decoding
-fails, 2 on usage or input-format errors.  All randomness flows from
---seed (default 0); nothing reads the clock.
+fails, 2 on usage or input-format errors and on inputs too large to fit in
+memory.  All randomness flows from --seed (default 0); nothing reads the
+clock.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"peelsim {args.command}: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"peelsim {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

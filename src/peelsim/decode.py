@@ -10,18 +10,20 @@ degrees observed at the start of the round (snapshot semantics).
 
 Decoding succeeds when no edges remain after the final round.
 
-A round costs only what it can change.  The vertices a round cleared stay
-a numpy mask until ``RoundRecord.cleared`` is first read, so callers that
-only look at the outcome never build their ids as Python ints.  Once the
-graph is empty, or each side has found nothing to clear since the last
-removal, the state is a fixpoint: the remaining rounds are recorded as
-no-ops without touching the edge arrays.
+One loop, ``_MaskEngine.peel``, runs the rounds of ``decode``,
+``decode_fixpoint`` and ``experiment.run_trial``.  The vertices a round
+cleared stay a numpy mask until ``RoundRecord.cleared`` is first read, so
+callers that only look at the outcome never build their ids as Python
+ints.  Once the graph is empty, or the last two rounds (one per side)
+removed nothing, the state is a fixpoint and the loop stops; ``decode``
+fills the rest of its schedule with two shared no-op records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "RoundRecord",
     "decode",
     "decode_fixpoint",
-    "side_schedule",
 ]
 
 ROWS = "rows"
@@ -106,43 +107,49 @@ class DecodeOutcome:
     rounds_executed: int
 
 
-def side_schedule(rounds: int) -> tuple[str, ...]:
-    """Sides for rounds 1..rounds; the final round always decodes rows."""
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
-    return tuple(ROWS if (rounds - i) % 2 == 0 else COLS for i in range(1, rounds + 1))
+# A round that cleared nothing, shared by every no-op round on its side.
+_IDLE = {ROWS: RoundRecord(ROWS, (), 0), COLS: RoundRecord(COLS, (), 0)}
+
+
+def _first_side(rounds: int) -> str:
+    """Side of round 1 of `rounds` rounds, the last of which decodes rows."""
+    return ROWS if rounds % 2 else COLS
 
 
 def decode(g: BipartiteGraph, params: DecodeParams) -> DecodeOutcome:
     """Run exactly params.rounds peeling rounds on g.
 
     Returns the outcome with a per-round trace; rounds_executed equals
-    params.rounds.
+    params.rounds.  Rounds after the fixpoint are recorded, not run.
     """
     run = _MaskEngine(g, params.t)
-    trace = tuple(run.round(side) for side in side_schedule(params.rounds))
-    return DecodeOutcome(run.live_edges == 0, run.residual(), trace, params.rounds)
+    trace: list[RoundRecord] = []
+    run.peel(_first_side(params.rounds), params.rounds, trace)
+    # The idle tail is itself a schedule ending on rows.
+    idle = params.rounds - run.rounds
+    pair = (_IDLE[_first_side(idle)], _IDLE[_first_side(idle + 1)])
+    trace.extend(islice(cycle(pair), idle))
+    return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), params.rounds)
 
 
 def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
     """Peel with unlimited rounds, starting with rows, until the graph is
     empty or a full row+column double-round removes nothing.
 
-    The engine decides when to stop: a pair of rounds runs while edges
-    remain and some side has not come up empty since the last removal, so
-    the loop ends only after a whole pair (or once the graph is empty).
+    The engine stops once the graph is empty or two rounds in a row removed
+    nothing; a no-op column round completes a pair cut short on rows, so
+    the trace ends only after a whole pair (or once the graph is empty).
     rounds_executed counts effective rounds: the position of the last round
-    that removed an edge (0 when nothing was ever removed).  The trace keeps
-    every executed round, including the final no-op ones.
+    that removed an edge (0 when nothing was ever removed).  The trace
+    keeps every executed round, including the final no-op ones.
     """
     if not isinstance(t, int) or t < 0:
         raise ValueError(f"t must be a non-negative integer, got {t!r}")
     run = _MaskEngine(g, t)
     trace: list[RoundRecord] = []
-    while run.live_edges and len(run.stuck) < 2:
-        trace.append(run.round(ROWS))
-        if run.live_edges:
-            trace.append(run.round(COLS))
+    run.peel(ROWS, trace=trace)
+    if run.live_edges and run.rounds % 2:
+        trace.append(_IDLE[COLS])
     return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), run.last_removal)
 
 
@@ -152,14 +159,10 @@ class _MaskEngine:
     clearing follows the degrees seen at the start of the round.
 
     The mask is None until the first removal, so a first round bincounts
-    the edge arrays without a gather.  ``stuck`` holds the sides that found
-    nothing to clear since the last removal: such a side would find
-    nothing again, so its round returns a no-op at once.  ``rounds`` counts
-    every round run, no-ops included, and ``last_removal`` is the number of
-    the last round that removed an edge (0 before any removal).
-
-    ``round`` runs one round and records it; ``peel`` runs alternating
-    rounds without records, for callers that read only the counts.
+    the edge arrays without a gather.  ``rounds`` counts every round run,
+    no-ops included, and ``last_removal`` is the number of the last round
+    that removed an edge (0 before any removal).  ``peel`` is the only
+    round loop; it stops at a fixpoint, read off these two counts.
     """
 
     def __init__(self, g: BipartiteGraph, t: int):
@@ -167,50 +170,44 @@ class _MaskEngine:
         self.t = t
         self.alive = None
         self.live_edges = g.edge_count
-        self.stuck: set[str] = set()
         self.rounds = 0
         self.last_removal = 0
 
-    def round(self, side: str) -> RoundRecord:
-        before = self.live_edges
-        cleared = self._clear(side)
-        return RoundRecord(side, () if cleared is None else cleared, before - self.live_edges)
-
-    def peel(self, first: str, limit: float = math.inf) -> None:
+    def peel(self, first: str, limit: float = math.inf, trace: list | None = None) -> None:
         """Run rounds with `first` on the odd-numbered ones and the other side
         on the even-numbered ones, until `limit` rounds have run in all or
-        the state is a fixpoint (graph empty or both sides stuck), after
-        which every round would be a no-op."""
+        the state is a fixpoint, after which every round would be a no-op:
+        the graph is empty, or ``rounds - last_removal`` reached 2, so each
+        side has come up empty since the last removal.  Appends one
+        ``RoundRecord`` per round run to `trace` when one is given."""
         other = COLS if first == ROWS else ROWS
-        while self.live_edges and len(self.stuck) < 2 and self.rounds < limit:
-            self._clear(other if self.rounds % 2 else first)
+        while self.live_edges and self.rounds - self.last_removal < 2 and self.rounds < limit:
+            self._clear(other if self.rounds % 2 else first, trace)
 
-    def _clear(self, side: str):
-        # One round on side: the mask of cleared vertices, or None when it
-        # removed nothing.
+    def _clear(self, side: str, trace: list | None) -> None:
+        # One round on side.  Its arrays die on return, which keeps a trial's
+        # peak heap down when no trace holds the cleared mask.
         self.rounds += 1
-        if self.live_edges == 0 or side in self.stuck:
-            return None
         g = self.g
         ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
         deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
         # In place, so a round holds one n-length temporary fewer.
         qualifies = deg <= self.t
         qualifies &= deg > 0
-        if not qualifies.any():
-            self.stuck.add(side)
-            return None
-        # Every cleared vertex has a live edge, so this round removes some.
-        kill = qualifies[ends]
-        if self.alive is None:
-            self.alive = ~kill
-        else:
-            kill &= self.alive
-            self.alive ^= kill
-        self.live_edges -= int(np.count_nonzero(kill))
-        self.stuck.clear()
-        self.last_removal = self.rounds
-        return qualifies
+        removed = 0
+        if qualifies.any():
+            # Every cleared vertex has a live edge, so this round removes some.
+            kill = qualifies[ends]
+            if self.alive is None:
+                self.alive = ~kill
+            else:
+                kill &= self.alive
+                self.alive ^= kill
+            removed = int(np.count_nonzero(kill))
+            self.live_edges -= removed
+            self.last_removal = self.rounds
+        if trace is not None:
+            trace.append(RoundRecord(side, qualifies, removed) if removed else _IDLE[side])
 
     def residual(self) -> BipartiteGraph:
         """The live edges; g itself when the rounds removed nothing."""

@@ -19,7 +19,7 @@ from statistics import NormalDist
 # decode and decode_fixpoint are not called here, but stay importable from
 # this module: the benchmark's traced replay (perfbench/workloads.py) wraps
 # them by name.
-from .decode import COLS, ROWS, DecodeParams, _MaskEngine, decode, decode_fixpoint  # noqa: F401
+from .decode import ROWS, DecodeParams, _first_side, _MaskEngine, decode, decode_fixpoint  # noqa: F401
 from .graph import sample_bipartite
 from .theory import asymptotic_success, linear_regime_prediction, threshold_p
 
@@ -219,10 +219,10 @@ def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     """
     g = sample_bipartite(n, n, p, seed)
     run = _MaskEngine(g, params.t)
-    odd = params.rounds % 2 == 1
-    run.peel(ROWS if odd else COLS, params.rounds)
+    first = _first_side(params.rounds)
+    run.peel(first, params.rounds)
     residual_edges = run.live_edges
-    if not odd:
+    if first != ROWS:
         run = _MaskEngine(g, params.t)
     run.peel(ROWS)
     return TrialRecord(

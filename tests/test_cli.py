@@ -76,6 +76,13 @@ def test_gen_rejects_bad_probability(capsys):
     assert code == 2
 
 
+def test_gen_too_large_for_memory_exits_two(capsys):
+    # About 5e13 cells: numpy refuses the 364 TiB draw before allocating.
+    code, out, err = run_cli(capsys, ["gen", "-n", "10000000", "-p", "0.5"])
+    assert code == 2 and out == ""
+    assert err.startswith("peelsim gen: ") and err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- decode
 
 def test_decode_strict_failure(capsys, k22_grid):

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from peelsim import (
     RoundRecord,
     decode,
     decode_fixpoint,
-    side_schedule,
 )
 from peelsim.decode import COLS, ROWS
 
@@ -42,20 +42,37 @@ def mid_size_graph(t, seed):
 
 # ----------------------------------------------------------------- schedule
 
-def test_schedule_last_round_is_rows():
-    assert side_schedule(0) == ()
-    assert side_schedule(1) == (ROWS,)
-    assert side_schedule(2) == (COLS, ROWS)
-    assert side_schedule(3) == (ROWS, COLS, ROWS)
-    for r in range(1, 9):
-        sched = side_schedule(r)
-        assert sched[-1] == ROWS
-        assert all(sched[i] != sched[i + 1] for i in range(r - 1))
+def assert_schedule(trace, rounds):
+    sides = [rec.side for rec in trace]
+    assert len(sides) == rounds
+    assert all(a != b for a, b in zip(sides, sides[1:]))
+    assert sides[-1:] in ([], [ROWS])
 
 
-def test_schedule_rejects_negative():
-    with pytest.raises(ValueError):
-        side_schedule(-1)
+def test_trace_sides_alternate_and_end_on_rows():
+    # A 40-edge path loses at most two edges a round, so it never reaches
+    # a fixpoint within 8 rounds and every round is peeled.
+    g = path_graph(40)
+    for r in range(9):
+        out = decode(g, DecodeParams(rounds=r, t=1))
+        assert_schedule(out.trace, r)
+        assert out.residual.edge_count > 0
+
+
+@pytest.mark.parametrize("rounds", [200_000, 200_001])
+def test_idle_rounds_after_the_fixpoint_are_compact(rounds):
+    # K22 is a fixpoint at t=1: every round is a no-op record, and the long
+    # idle tail must not cost a record object per round.
+    tracemalloc.start()
+    try:
+        out = decode(K22, DecodeParams(rounds=rounds, t=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert_schedule(out.trace, rounds)
+    assert all(rec.edges_removed == 0 and rec.cleared == () for rec in out.trace)
+    assert out.rounds_executed == rounds and out.residual is K22
 
 
 # ------------------------------------------------------------ frozen examples
@@ -203,7 +220,8 @@ def test_fixpoint_matches_reference_decoder():
             ok, residual, cleared, removed = ref_decode(g, rounds, t)
             assert fix.success == ok
             assert frozenset(fix.residual.edges()) == residual
-            assert [rec.side for rec in fix.trace] == list(side_schedule(rounds)[:steps])
+            assert [rec.side for rec in fix.trace] == [
+                ROWS if k % 2 else COLS for k in range(1, steps + 1)]
             assert [rec.cleared for rec in fix.trace] == cleared[:steps]
             assert [rec.edges_removed for rec in fix.trace] == removed[:steps]
             assert not any(removed[steps:])
