@@ -71,8 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--p-values", default=None, help="comma-separated")
     p_swp.add_argument("--trials", type=int, default=None)
     p_swp.add_argument("--confidence", type=float, default=None)
-    p_swp.add_argument("--workers", type=int, default=1)
+    p_swp.add_argument("--workers", type=_workers, default=1,
+                       help="pool processes, capped at the CPUs available (default 1: in-process)")
     return parser
+
+
+def _workers(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _input_flags(p):

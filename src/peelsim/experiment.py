@@ -3,15 +3,19 @@
 Reproducibility contract: every trial's seed is derived from
 (master_seed, point_index, trial_index) by SplitMix64, so results are a
 pure function of the experiment spec.  Points are processed in sorted
-(n, c_or_p) order and trials aggregate by commutative sums, so the output
-is byte-identical no matter how many workers run the sweep.
+(n, c_or_p) order.  A pool runs each point's trials as contiguous ranges,
+and every range returns integer partial sums that are added per point
+before any float is formed, so the output is byte-identical however the
+trials were cut, that is, at any worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from statistics import NormalDist
@@ -253,21 +257,25 @@ def _point_tasks(spec: ExperimentSpec) -> list[dict]:
     return tasks
 
 
-def _run_point(args) -> PointEstimate:
-    spec, task = args
+def _run_range(args) -> tuple[int, int, int, int]:
+    """Trials [start, stop) of one point, in trial order, as integer partial
+    sums: successes, one-round successes, residual edges, fixpoint rounds."""
+    spec, task, start, stop = args
     params = DecodeParams(rounds=spec.r, t=task["t"])
-    trials = spec.trials_per_point
-    successes = 0
-    one_round = 0
-    residual_sum = 0
-    fixpoint_sum = 0
-    for trial_index in range(trials):
-        seed = trial_seed(spec.master_seed, task["point_index"], trial_index, trials)
+    successes = one_round = residual_sum = fixpoint_sum = 0
+    for trial_index in range(start, stop):
+        seed = trial_seed(spec.master_seed, task["point_index"], trial_index, spec.trials_per_point)
         rec = run_trial(task["n"], task["p"], params, seed)
         successes += rec.success
         one_round += rec.one_round_success
         residual_sum += rec.residual_edges
         fixpoint_sum += rec.fixpoint_rounds
+    return successes, one_round, residual_sum, fixpoint_sum
+
+
+def _estimate(spec: ExperimentSpec, task: dict, sums) -> PointEstimate:
+    successes, one_round, residual_sum, fixpoint_sum = sums
+    trials = spec.trials_per_point
     ci_low, ci_high = wilson_interval(successes, trials, spec.confidence)
     return PointEstimate(
         mode=spec.mode,
@@ -287,13 +295,77 @@ def _run_point(args) -> PointEstimate:
     )
 
 
+def _split(trials: int, parts: int) -> list[tuple[int, int]]:
+    """range(trials) cut into `parts` contiguous ranges whose sizes differ by
+    at most one; no range is empty when parts <= trials."""
+    bounds = [k * trials // parts for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# glibc mallopt parameters (malloc.h).  Pinning the mmap threshold keeps
+# arrays up to 32 MB on the heap, and a trim threshold far above a trial's
+# working set (a few MB) keeps freed trial arrays resident, so the next
+# trial reuses them instead of faulting fresh pages in.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 512 * 2**20
+
+
+def _keep_heap_resident(libc=None) -> bool:
+    """Pool initializer: stop glibc from trimming freed trial arrays.
+
+    Returns whether both thresholds took; where libc has no mallopt, or
+    mallopt refuses a value, it changes nothing more and returns False.
+    """
+    if libc is None:
+        try:
+            libc = ctypes.CDLL(None)  # the C library this interpreter links
+        except (OSError, TypeError):  # Windows has no such handle
+            return False
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ...]:
-    """Run every point of the sweep; identical output for any worker count."""
-    tasks = [(spec, task) for task in _point_tasks(spec)]
-    if workers <= 1:
-        return tuple(_run_point(a) for a in tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(_run_point, tasks))
+    """Run every point of the sweep; identical output for any worker count.
+
+    Each point's trials are cut into contiguous ranges, one per pool
+    process, and each range returns integer partial sums (see _run_range)
+    that are added per point.  Integer sums do not depend on how the trials
+    were cut, so the result is the same at any worker count.  The pool gets
+    min(workers, ranges, CPUs available to this process) processes; with
+    one, the sweep runs in this process, one range per point, calling
+    run_trial in point-major, trial-ascending order.
+    """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    points = _point_tasks(spec)
+    procs = min(workers, _available_cpus())
+    cuts = _split(spec.trials_per_point, min(procs, spec.trials_per_point))
+    ranges = [(spec, task, start, stop) for task in points for start, stop in cuts]
+    procs = min(procs, len(ranges))
+    if procs == 1:
+        partials = list(map(_run_range, ranges))
+    else:
+        with ProcessPoolExecutor(max_workers=procs, initializer=_keep_heap_resident) as pool:
+            partials = list(pool.map(_run_range, ranges))
+    per_point = len(cuts)
+    return tuple(
+        _estimate(spec, task, map(sum, zip(*partials[k * per_point:(k + 1) * per_point])))
+        for k, task in enumerate(points)
+    )
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:

@@ -333,6 +333,15 @@ def test_sweep_worker_count_does_not_change_bytes(capsys, tmp_path):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_sweep_rejects_bad_worker_counts(capsys, tmp_path, workers):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", workers])
+    assert code == 2 and out == ""
+    assert "--workers" in err
+
+
 def test_sweep_json(capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CONFIG)

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import platform
 import random
 import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import peelsim.experiment as experiment
 from peelsim import (
     CONSTANT_T_SWEEP,
     CSV_COLUMNS,
@@ -277,6 +280,141 @@ def test_sweep_deterministic_and_worker_independent():
     b = write_results(run_sweep(SMALL_SWEEP), "csv")
     c = write_results(run_sweep(SMALL_SWEEP, workers=3), "csv")
     assert a == b == c
+
+
+# ------------------------------------------------------------ trial ranges
+
+def _single_point(trials):
+    return ExperimentSpec(mode=SINGLE_POINT, n_values=(20,), r=2, t=1, c_values=(1.5,),
+                          trials_per_point=trials, master_seed=11)
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and the ranges
+    mapped, and runs them in this process."""
+
+    def __init__(self, max_workers, initializer=None):
+        self.max_workers = max_workers
+        self.initializer = initializer
+        self.ranges = []
+        _FakePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.ranges = [(start, stop) for _, _, start, stop in tasks]
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    _FakePool.made = []
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    return _FakePool.made
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, trials):
+    # Enough CPUs that three workers really cut a point three ways.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    spec = _single_point(trials)
+    outputs = [(write_results(res, "csv"), write_results(res, "json"))
+               for res in (run_sweep(spec, workers=w) for w in (1, 2, 3))]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("trials,workers,ranges", [
+    (7, 2, [(0, 3), (3, 7)]),
+    (7, 3, [(0, 2), (2, 4), (4, 7)]),
+    (2, 3, [(0, 1), (1, 2)]),
+])
+def test_pool_gets_contiguous_nonempty_ranges(monkeypatch, fake_pool, trials, workers, ranges):
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    expected = write_results(run_sweep(_single_point(trials)), "csv")
+    assert write_results(run_sweep(_single_point(trials), workers=workers), "csv") == expected
+    (pool,) = fake_pool
+    assert pool.ranges == ranges
+    assert pool.max_workers == len(ranges)
+    assert pool.initializer is experiment._keep_heap_resident
+
+
+def test_one_trial_per_point_starts_no_pool(monkeypatch, fake_pool):
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    run_sweep(_single_point(1), workers=3)
+    assert fake_pool == []
+
+
+def test_pool_size_is_capped_by_cpus_and_ranges(monkeypatch, fake_pool):
+    # Under fork the real executor starts every max_workers process at once,
+    # so a huge worker count is only ever handed to the fake.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
+    run_sweep(SMALL_SWEEP, workers=5000)
+    assert fake_pool[-1].max_workers == 3
+    assert len(fake_pool[-1].ranges) == 4 * 3
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
+    run_sweep(SMALL_SWEEP, workers=5000)
+    assert len(fake_pool) == 1  # one CPU: the sweep ran in this process
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True])
+def test_sweep_rejects_bad_worker_counts(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(_single_point(2), workers=workers)
+
+
+def test_serial_sweep_runs_trials_point_major_in_order(monkeypatch):
+    seeds = []
+
+    def recording_trial(n, p, params, seed):
+        seeds.append(seed)
+        return run_trial(n, p, params, seed)
+
+    monkeypatch.setattr(experiment, "run_trial", recording_trial)
+    spec = SMALL_SWEEP
+    run_sweep(spec)
+    assert seeds == [trial_seed(spec.master_seed, k, i, spec.trials_per_point)
+                     for k in range(4) for i in range(spec.trials_per_point)]
+
+
+class _Libc:
+    def __init__(self, returns):
+        self.calls = []
+        self._returns = returns
+
+        # A plain function, not a method: the initializer sets argtypes on it.
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return self._returns
+
+        self.mallopt = mallopt
+
+
+def test_heap_initializer_is_quiet_without_mallopt():
+    assert experiment._keep_heap_resident(libc=object()) is False
+
+
+def test_heap_initializer_is_quiet_when_mallopt_refuses():
+    libc = _Libc(returns=0)
+    assert experiment._keep_heap_resident(libc=libc) is False
+    assert len(libc.calls) == 1  # stops at the first refusal
+
+
+def test_heap_initializer_pins_both_thresholds():
+    libc = _Libc(returns=1)
+    assert experiment._keep_heap_resident(libc=libc) is True
+    assert [param for param, _ in libc.calls] == [experiment._M_MMAP_THRESHOLD, experiment._M_TRIM_THRESHOLD]
+    assert libc.calls[0][1] <= 32 * 2**20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_heap_initializer_takes_in_a_pool_worker():
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(experiment._keep_heap_resident).result(timeout=60) is True
 
 
 def test_linear_sweep_theory_column():
