@@ -218,6 +218,10 @@ def _cmd_detect(args) -> int:
 def _cmd_theory(args) -> int:
     r_hi = args.r if args.r_max is None else args.r_max
     t_hi = args.t if args.t_max is None else args.t_max
+    if r_hi < args.r:
+        raise ValueError(f"--r-max must be at least -r ({args.r}), got {r_hi}")
+    if t_hi < args.t:
+        raise ValueError(f"--t-max must be at least -t ({args.t}), got {t_hi}")
     rows = []
     for r in range(args.r, r_hi + 1):
         for t in range(args.t, t_hi + 1):

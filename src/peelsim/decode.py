@@ -11,19 +11,16 @@ degrees observed at the start of the round (snapshot semantics).
 Decoding succeeds when no edges remain after the final round.
 
 One loop, ``_MaskEngine.peel``, runs the rounds of ``decode``,
-``decode_fixpoint`` and ``experiment.run_trial``.  The vertices a round
-cleared stay a numpy mask until ``RoundRecord.cleared`` is first read, so
-callers that only look at the outcome never build their ids as Python
-ints.  Once the graph is empty, or the last two rounds (one per side)
-removed nothing, the state is a fixpoint and the loop stops; ``decode``
-fills the rest of its schedule with two shared no-op records.
+``decode_fixpoint`` and ``experiment.run_trial``.  Once the graph is empty,
+or the last two rounds (one per side) removed nothing, the state is a
+fixpoint and the loop stops; ``decode`` fills the rest of its schedule with
+the shared no-op records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from itertools import cycle, islice
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,48 +52,14 @@ class DecodeParams:
             raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
 
 
+@dataclass(frozen=True)
 class RoundRecord:
     """One executed round: which side ran, which vertices with at least one
-    edge were cleared (ascending), and how many edges that removed.
+    edge were cleared (ascending), and how many edges that removed."""
 
-    Immutable and compared, hashed and printed by (side, cleared,
-    edges_removed).  The engine hands over the cleared vertices as a
-    boolean mask over the side's vertex ids; ``cleared`` turns it into the
-    ascending tuple of ints when first read.
-    """
-
-    def __init__(self, side: str, cleared: tuple[int, ...], edges_removed: int):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "_cleared", cleared)
-        object.__setattr__(self, "edges_removed", edges_removed)
-
-    @property
-    def cleared(self) -> tuple[int, ...]:
-        ids = self._cleared
-        if isinstance(ids, np.ndarray):
-            ids = tuple(np.flatnonzero(ids).tolist())
-            object.__setattr__(self, "_cleared", ids)
-        return ids
-
-    def _key(self):
-        return (self.side, self.cleared, self.edges_removed)
-
-    def __eq__(self, other):
-        if not isinstance(other, RoundRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"RoundRecord(side={self.side!r}, cleared={self.cleared!r}, edges_removed={self.edges_removed!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    side: str
+    cleared: tuple[int, ...]
+    edges_removed: int
 
 
 @dataclass(frozen=True)
@@ -127,8 +90,7 @@ def decode(g: BipartiteGraph, params: DecodeParams) -> DecodeOutcome:
     run.peel(_first_side(params.rounds), params.rounds, trace)
     # The idle tail is itself a schedule ending on rows.
     idle = params.rounds - run.rounds
-    pair = (_IDLE[_first_side(idle)], _IDLE[_first_side(idle + 1)])
-    trace.extend(islice(cycle(pair), idle))
+    trace.extend(_IDLE[_first_side(k)] for k in range(idle, 0, -1))
     return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), params.rounds)
 
 
@@ -186,10 +148,11 @@ class _MaskEngine:
 
     def _clear(self, side: str, trace: list | None) -> None:
         # One round on side.  Its arrays die on return, which keeps a trial's
-        # peak heap down when no trace holds the cleared mask.
+        # peak heap down; a trace keeps only the cleared ids.
         self.rounds += 1
         g = self.g
         ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
+        # minlength=n: qualifies[ends] below also reads the ends of dead edges.
         deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
         # In place, so a round holds one n-length temporary fewer.
         qualifies = deg <= self.t
@@ -207,7 +170,8 @@ class _MaskEngine:
             self.live_edges -= removed
             self.last_removal = self.rounds
         if trace is not None:
-            trace.append(RoundRecord(side, qualifies, removed) if removed else _IDLE[side])
+            trace.append(RoundRecord(side, tuple(qualifies.nonzero()[0].tolist()), removed)
+                         if removed else _IDLE[side])
 
     def residual(self) -> BipartiteGraph:
         """The live edges; g itself when the rounds removed nothing."""

@@ -284,6 +284,4 @@ def _skip_sample(gen, n_cells: int, p: float) -> np.ndarray:
         else:
             chunks.append(positions[: int(np.searchsorted(positions, n_cells))])
             break
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
     return np.concatenate(chunks)

@@ -33,6 +33,31 @@ def exact_success_one_round(n, p, t):
     return row_ok**n
 
 
+def exact_four_by_four(r, t, p):
+    """Exact (P[success], E[residual edges], Var[residual edges]) of r
+    rounds on G(4, 4, p), by peeling all 2^16 patterns in one dense batch.
+
+    Round i decodes rows when r - i is even, against the degrees at the
+    start of the round.  A pattern with m erasures has probability
+    p^m (1 - p)^(16 - m), so success is the polynomial sum_m S_m p^m
+    (1 - p)^(16 - m), where S_m counts the m-erasure patterns that decode.
+    """
+    cells = 16
+    live = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1 == 1
+    live = live.reshape(-1, 4, 4)
+    m = live.sum(axis=(1, 2))
+    for i in range(1, r + 1):
+        # A row's degree sums over columns (axis 2), a column's over rows.
+        deg = live.sum(axis=2 if (r - i) % 2 == 0 else 1, keepdims=True)
+        live &= deg > t
+    residual = live.sum(axis=(1, 2))
+    weight = np.array([p**k * (1.0 - p) ** (cells - k) for k in range(cells + 1)])
+    success = np.bincount(m[residual == 0], minlength=cells + 1) @ weight
+    mean = np.bincount(m, weights=residual, minlength=cells + 1) @ weight
+    square = np.bincount(m, weights=residual**2, minlength=cells + 1) @ weight
+    return float(success), float(mean), float(square - mean**2)
+
+
 def mask_to_graph(mask) -> BipartiteGraph:
     edges = [(int(i), int(j)) for i, j in np.argwhere(mask)]
     return BipartiteGraph(mask.shape[0], mask.shape[1], edges)

@@ -270,6 +270,13 @@ def test_theory_rejects_bad_domain(capsys):
     assert run_cli(capsys, ["theory", "-r", "0", "-t", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("flag, fmt", [("--r-max", "text"), ("--t-max", "json")])
+def test_theory_rejects_inverted_range(capsys, flag, fmt):
+    code, out, err = run_cli(capsys, ["theory", "-r", "3", "-t", "3", flag, "1", "--format", fmt])
+    assert code == 2 and out == ""
+    assert flag in err
+
+
 # --------------------------------------------------------------------- sweep
 
 SWEEP_CONFIG = """

@@ -189,7 +189,7 @@ def test_round_record_contract():
             rec.cleared = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.edges_removed = 0
-    # A fresh decode compares and hashes equal before its ids are read.
+    # Fresh decodes compare and hash equal to the first.
     again = decode(g, DecodeParams(rounds=3, t=1))
     assert again.trace == out.trace
     assert hash(decode(g, DecodeParams(rounds=3, t=1)).trace) == hash(out.trace)

@@ -32,7 +32,7 @@ from peelsim import (
     write_results,
 )
 
-from helpers import exact_success_one_round
+from helpers import exact_four_by_four, exact_success_one_round
 
 SMALL_SWEEP = ExperimentSpec(
     mode=CONSTANT_T_SWEEP,
@@ -160,6 +160,22 @@ def test_one_round_sweeps_match_the_exact_success():
         exact = exact_success_one_round(point.n, threshold_p(point.n, 1, 1), 1)
         z = (point.p_hat - exact) / math.sqrt(exact * (1.0 - exact) / point.trials)
         assert abs(z) <= 4.0, (point.n, point.p_hat, exact, z)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_four_by_four_sweeps_match_the_exact_decode(r):
+    # Sampler, decoder (rows first for odd r, columns first for even r) and
+    # aggregation end to end against the exact 2^16-pattern enumeration.
+    # Points, trial count and seed were fixed before the first run.
+    for p in (0.2, 0.35):
+        success, mean, var = exact_four_by_four(r, 1, p)
+        if r == 1:
+            assert math.isclose(success, exact_success_one_round(4, p, 1), rel_tol=1e-12)
+        spec = ExperimentSpec(SINGLE_POINT, (4,), r, 4000, 20261018, t=1, p_values=(p,))
+        (point,) = run_sweep(spec)
+        z_success = (point.p_hat - success) / math.sqrt(success * (1.0 - success) / point.trials)
+        z_residual = (point.mean_residual_edges - mean) / math.sqrt(var / point.trials)
+        assert abs(z_success) <= 4.0 and abs(z_residual) <= 4.0, (p, z_success, z_residual)
 
 
 # -------------------------------------------------------------------- wilson
