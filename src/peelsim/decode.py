@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _integer
 
 __all__ = [
     "DecodeOutcome",
@@ -46,10 +46,11 @@ class DecodeParams:
     t: int
 
     def __post_init__(self):
-        if not isinstance(self.rounds, int) or self.rounds < 0:
-            raise ValueError(f"rounds must be a non-negative integer, got {self.rounds!r}")
-        if not isinstance(self.t, int) or self.t < 0:
-            raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
+        # Stored as plain ints, so a numpy integer is not carried into
+        # rounds_executed.
+        rounds = _integer(self.rounds, 0, "rounds must be a non-negative integer, got {!r}")
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "t", _integer(self.t, 0, "t must be a non-negative integer, got {!r}"))
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
     that removed an edge (0 when nothing was ever removed).  The trace
     keeps every executed round, including the final no-op ones.
     """
-    if not isinstance(t, int) or t < 0:
-        raise ValueError(f"t must be a non-negative integer, got {t!r}")
+    t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
     run = _MaskEngine(g, t)
     trace: list[RoundRecord] = []
     run.peel(ROWS, trace=trace)

@@ -9,6 +9,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -236,6 +237,15 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
         cells = _skip_sample(_keyed_generator(seed), n_cells, p)
     u, v = np.divmod(cells, n_right)
     return BipartiteGraph._from_sorted(n_left, n_right, u, v)
+
+
+def _integer(value, minimum: int, message: str) -> int:
+    """value as a plain int, or ValueError(message.format(value)) when it is
+    not an integer of at least minimum.  numpy integers count as integers;
+    bools do not, though Python treats True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(message.format(value))
+    return int(value)
 
 
 def _keyed_generator(seed: int) -> np.random.Generator:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .decode import DecodeParams, decode
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _integer
 
 __all__ = [
     "UndecodableConfig",
@@ -147,10 +147,8 @@ def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
     or None when no witness exists (equivalently, when the decoder
     succeeds).  Exhaustive by survival induction; meant for small graphs.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, got {r!r}")
-    if not isinstance(t, int) or t < 0:
-        raise ValueError(f"t must be a non-negative integer, got {t!r}")
+    r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
+    t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
     adj = _adjacency(g.edges())
     levels = _survival_sets(adj, r, t)
     roots = [x for x in levels[r] if x[0] == "L"]
@@ -208,16 +206,20 @@ def count_exact_trees(g: BipartiteGraph, r: int, t: int) -> int:
     layer structure intact (root on the left, sides preserved); each
     placement is counted once, i.e. embeddings that differ only by a tree
     automorphism are identified.  Exhaustive; meant for small graphs.
+
+    Only left vertices with more than t neighbors are tried as roots: the
+    root of a placement has t+1 children, so any other root adds 0.  The
+    count does not depend on the order in which candidates are tried, since
+    children are chosen as unordered sets.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, got {r!r}")
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be an integer >= 1, got {t!r}")
-    adj = {x: sorted(nbrs) for x, nbrs in _adjacency(g.edges()).items()}
-    total = 0
-    for root in sorted(x for x in adj if x[0] == "L"):
-        total += _count_placements(deque([(root, 0)]), adj, {root}, r, t)
-    return total
+    r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
+    t = _integer(t, 1, "t must be an integer >= 1, got {!r}")
+    adj = _adjacency(g.edges())
+    return sum(
+        _count_placements(deque([(x, 0)]), adj, {x}, r, t)
+        for x, nbrs in adj.items()
+        if x[0] == "L" and len(nbrs) > t
+    )
 
 
 def _count_placements(pending, adj, used, r, t):
@@ -246,18 +248,54 @@ def find_short_cycle(g: BipartiteGraph, max_len: int):
     right) edges in traversal order, or None if none exists.
 
     max_len must be even and >= 4 (bipartite cycles have even length).
-    Breadth-first search from each left vertex, stopping at depth
-    max_len // 2.
+    Breadth-first search from each left vertex in ascending order, stopping
+    at depth max_len // 2.  Only left vertices of components that hold a
+    cycle are searched, and a forest returns None without building the
+    adjacency: a search from a tree component never meets a non-tree edge,
+    so skipping it changes neither whether a cycle is found nor which.
     """
-    if not isinstance(max_len, int) or max_len < 4 or max_len % 2 != 0:
-        raise ValueError(f"max_len must be an even integer >= 4, got {max_len!r}")
+    message = "max_len must be an even integer >= 4, got {!r}"
+    max_len = _integer(max_len, 4, message)
+    if max_len % 2:
+        raise ValueError(message.format(max_len))
+    starts = _cyclic_left_vertices(g)
+    if not starts:
+        return None
     adj = _adjacency(g.edges())
     depth_cap = max_len // 2 - 1
-    for start in sorted(x for x in adj if x[0] == "L"):
-        cycle = _bfs_cycle(adj, start, depth_cap)
+    for start in starts:
+        cycle = _bfs_cycle(adj, ("L", start), depth_cap)
         if cycle is not None and len(cycle) <= max_len:
             return cycle
     return None
+
+
+def _cyclic_left_vertices(g):
+    # Union-find over g's edges, keyed by vertex id (left i is i, right j is
+    # n_left + j) in a dict, so it costs O(edges) and no n-length array.  An
+    # edge whose ends are already joined closes a cycle in their component.
+    # A vertex missing from parent is a root.
+    parent: dict[int, int] = {}
+
+    def find(x):
+        up = parent.get(x, x)
+        while up != x:
+            top = parent.get(up, up)
+            parent[x] = top  # path halving
+            x, up = top, parent.get(top, top)
+        return x
+
+    closers = []
+    for i, j in zip(g.u.tolist(), (g.v + g.n_left).tolist()):
+        a, b = find(i), find(j)
+        if a == b:
+            closers.append(a)
+        else:
+            parent[a] = b
+    if not closers:
+        return []
+    cyclic = {find(x) for x in closers}
+    return sorted(x for x in set(g.u.tolist()) if find(x) in cyclic)
 
 
 def _bfs_cycle(adj, root, depth_cap):

@@ -9,6 +9,8 @@ enumeration instead of backtracking search.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -108,6 +110,32 @@ def graph_adjacency(g: BipartiteGraph):
         adj.setdefault(("L", i), set()).add(("R", j))
         adj.setdefault(("R", j), set()).add(("L", i))
     return adj
+
+
+def girth(g: BipartiteGraph):
+    """Length of a shortest cycle of g, or math.inf when g is a forest.
+
+    Breadth-first search from every vertex: a non-tree edge (x, y) met from
+    root s closes a walk of length dist[x] + dist[y] + 1 through s, which
+    holds a cycle no longer than that, and from a root on a shortest cycle
+    the shortest such walk is that cycle.
+    """
+    adj = graph_adjacency(g)
+    best = math.inf
+    for root in adj:
+        dist = {root: 0}
+        parent = {root: None}
+        q = deque([root])
+        while q:
+            x = q.popleft()
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    q.append(y)
+                elif parent[x] != y:
+                    best = min(best, dist[x] + dist[y] + 1)
+    return best
 
 
 def ahu_automorphisms(g: BipartiteGraph, root=("L", 0)) -> int:
@@ -238,8 +266,23 @@ def star_graph(t) -> BipartiteGraph:
     return BipartiteGraph(1, t + 1, [(0, j) for j in range(t + 1)])
 
 
-def six_cycle() -> BipartiteGraph:
-    return BipartiteGraph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
+def cycle_graph(length) -> BipartiteGraph:
+    """A single cycle of the given even length >= 4."""
+    k = length // 2
+    return BipartiteGraph(k, k, [(i, i) for i in range(k)] + [((i + 1) % k, i) for i in range(k)])
+
+
+def disjoint_union(parts, rng) -> BipartiteGraph:
+    """Side-by-side copy of the given graphs, with each side's indices
+    shuffled so that no component sits at the low indices."""
+    n_left = sum(p.n_left for p in parts)
+    n_right = sum(p.n_right for p in parts)
+    left, right = rng.permutation(n_left).tolist(), rng.permutation(n_right).tolist()
+    edges, dl, dr = [], 0, 0
+    for p in parts:
+        edges.extend((left[dl + i], right[dr + j]) for i, j in p.edges())
+        dl, dr = dl + p.n_left, dr + p.n_right
+    return BipartiteGraph(n_left, n_right, edges)
 
 
 def random_graph(rng, max_side=5, p_max=0.7) -> BipartiteGraph:

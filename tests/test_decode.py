@@ -114,10 +114,17 @@ def test_zero_capability_nonempty_always_fails():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        DecodeParams(rounds=-1, t=1)
-    with pytest.raises(ValueError):
-        DecodeParams(rounds=1, t=-1)
+    for rounds, t in ((-1, 1), (1, -1), (True, 1), (1, True), (2.0, 1)):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            DecodeParams(rounds=rounds, t=t)
+
+
+def test_params_store_numpy_integers_as_int():
+    params = DecodeParams(rounds=np.int64(2), t=np.int32(1))
+    assert params == DecodeParams(rounds=2, t=1)
+    assert type(params.rounds) is int and type(params.t) is int
+    out = decode(K22, params)
+    assert type(out.rounds_executed) is int and out.rounds_executed == 2
 
 
 # ----------------------------------------------------------------- fixpoint
@@ -146,8 +153,13 @@ def test_fixpoint_consumes_path():
 
 
 def test_fixpoint_rejects_bad_t():
-    with pytest.raises(ValueError):
-        decode_fixpoint(K22, t=-1)
+    for t in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="t must be a non-negative integer"):
+            decode_fixpoint(K22, t=t)
+
+
+def test_fixpoint_accepts_numpy_integer():
+    assert decode_fixpoint(path_graph(4), np.int64(1)) == decode_fixpoint(path_graph(4), 1)
 
 
 def test_fixpoint_counts_effective_rounds():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from peelsim import (
 
 from helpers import (
     complete_graph,
+    cycle_graph,
+    disjoint_union,
+    girth,
     naive_tree_count,
     path_graph,
     random_graph,
-    six_cycle,
     star_graph,
 )
 
@@ -158,10 +161,9 @@ def test_find_config_zero_capability():
 
 
 def test_find_config_validation():
-    with pytest.raises(ValueError):
-        find_config(K22, r=0, t=1)
-    with pytest.raises(ValueError):
-        find_config(K22, r=1, t=-1)
+    for r, t in ((0, 1), (1, -1), (True, 0), (1, False), (1.0, 1)):
+        with pytest.raises(ValueError, match="must be"):
+            find_config(K22, r=r, t=t)
 
 
 def test_find_config_agrees_with_decoder():
@@ -276,10 +278,16 @@ def test_count_k44():
 
 
 def test_count_validation():
-    with pytest.raises(ValueError):
-        count_exact_trees(K22, 0, 1)
-    with pytest.raises(ValueError):
-        count_exact_trees(K22, 1, 0)
+    for r, t in ((0, 1), (1, 0), (True, 1), (1, True)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            count_exact_trees(K22, r, t)
+
+
+def test_searches_accept_numpy_integers():
+    one, two = np.int64(1), np.int32(2)
+    assert find_config(K22, two, one) == find_config(K22, 2, 1)
+    assert count_exact_trees(complete_graph(4, 4), one, one) == 24
+    assert find_short_cycle(cycle_graph(6), np.int64(6)) == find_short_cycle(cycle_graph(6), 6)
 
 
 @pytest.mark.parametrize("r,t", [(1, 1), (1, 2), (2, 1)])
@@ -335,7 +343,7 @@ def test_trees_have_no_cycle():
 
 
 def test_six_cycle_needs_length_six():
-    g = six_cycle()
+    g = cycle_graph(6)
     assert find_short_cycle(g, 4) is None
     cycle = find_short_cycle(g, 6)
     assert cycle is not None
@@ -344,8 +352,8 @@ def test_six_cycle_needs_length_six():
 
 
 def test_cycle_length_validation():
-    for bad in (3, 2, 5, -4):
-        with pytest.raises(ValueError):
+    for bad in (3, 2, 5, -4, True, 4.0, np.int64(5)):
+        with pytest.raises(ValueError, match="max_len must be an even integer >= 4"):
             find_short_cycle(K22, bad)
 
 
@@ -361,6 +369,52 @@ def test_four_cycle_detection_matches_oracle():
         assert (cycle is not None) == has_c4
         if cycle is not None:
             assert_valid_cycle(g, cycle, 4)
+
+
+def planted_cycle_graph(rng, *lengths):
+    """Cycles of the given lengths beside a few disjoint random trees and a
+    long path, with the indices of each side shuffled."""
+    trees = [random_tree(rng, int(rng.integers(2, 12))) for _ in range(int(rng.integers(2, 5)))]
+    cycles = [cycle_graph(length) for length in lengths]
+    return disjoint_union([*cycles, *trees, path_graph(int(rng.integers(9, 20)))], rng)
+
+
+def test_short_cycle_matches_girth_oracle():
+    # Against a girth computed by breadth-first search from every vertex.
+    # With two planted cycles the shorter one may sit in either component.
+    rng = np.random.default_rng(101)
+    graphs = [random_graph(rng, max_side=7, p_max=0.5) for _ in range(200)]
+    plants = [(4,), (6,), (8,), (8, 4), (8, 6), (6, 4)]
+    graphs += [planted_cycle_graph(rng, *lengths) for lengths in plants for _ in range(20)]
+    for g in graphs:
+        shortest = girth(g)
+        for max_len in (4, 6, 8):
+            cycle = find_short_cycle(g, max_len)
+            assert (cycle is None) == (shortest > max_len)
+            if cycle is not None:
+                assert_valid_cycle(g, cycle, max_len)
+
+
+def test_searches_stay_linear_in_edges():
+    # A 4-cycle and a 4-edge path on sides of 10**7 vertices: the searches
+    # must work on the edges alone, never on arrays as long as a side.
+    n = 10**7
+    path = [(n - 2, n - 3), (n - 2, n - 2), (n - 1, n - 2), (n - 1, n - 1)]
+    big = BipartiteGraph(n, n, [*K22.edges(), *path])
+    # The same two components at the lowest indices.
+    small = BipartiteGraph(4, 5, [*K22.edges(), (2, 2), (2, 3), (3, 3), (3, 4)])
+    tracemalloc.start()
+    try:
+        cycle = find_short_cycle(big, 6)
+        trees = count_exact_trees(big, 1, 1)
+        cfg = find_config(big, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert_valid_cycle(big, cycle, 4)
+    assert trees == naive_tree_count(small, 1, 1) == 4
+    assert cfg == find_config(K22, 2, 1)
 
 
 # ----------------------------------------------------------------- serialization
