@@ -24,7 +24,7 @@ from statistics import NormalDist
 # this module: the benchmark's traced replay (perfbench/workloads.py) wraps
 # them by name.
 from .decode import ROWS, DecodeParams, _first_side, _MaskEngine, decode, decode_fixpoint  # noqa: F401
-from .graph import sample_bipartite
+from .graph import _integer, sample_bipartite
 from .theory import asymptotic_success, linear_regime_prediction, threshold_p
 
 __all__ = [
@@ -349,8 +349,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     one, the sweep runs in this process, one range per point, calling
     run_trial in point-major, trial-ascending order.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
     procs = min(workers, _available_cpus())
     cuts = _split(spec.trials_per_point, min(procs, spec.trials_per_point))
@@ -370,9 +369,9 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
+    trials = _integer(trials, 1, "trials must be an integer >= 1, got {!r}")
+    successes = _integer(successes, 0, "successes must be a non-negative integer, got {!r}")
+    if successes > trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")

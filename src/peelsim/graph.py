@@ -40,11 +40,14 @@ class BipartiteGraph:
     """
 
     def __init__(self, n_left: int, n_right: int, edges=()):
-        if n_left < 1 or n_right < 1:
-            raise ValueError(f"graph needs at least one vertex per side, got {n_left}x{n_right}")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        n_left = _integer(n_left, 1, "graph needs at least one vertex per side, got n_left={!r}")
+        n_right = _integer(n_right, 1, "graph needs at least one vertex per side, got n_right={!r}")
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
-            arr = arr.reshape(0, 2)
+            arr = np.empty((0, 2), dtype=np.int64)
+        elif arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+            # Casting would truncate floats and wrap or refuse huge integers.
+            raise ValueError(f"edge endpoints must be integers below 2**63, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (left, right) pairs")
         u, v = arr[:, 0], arr[:, 1]
@@ -82,16 +85,12 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return int(self.u.size)
 
-    def neighbors_of_left(self, i: int) -> np.ndarray:
-        """Sorted right neighbors of left vertex i."""
+    def has_edge(self, i: int, j: int) -> bool:
+        # Edges are sorted by (u, v): find i's run in u, then j within it.
         lo = np.searchsorted(self.u, i, side="left")
         hi = np.searchsorted(self.u, i, side="right")
-        return self.v[lo:hi]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        nbrs = self.neighbors_of_left(i)
-        k = np.searchsorted(nbrs, j)
-        return bool(k < nbrs.size and nbrs[k] == j)
+        k = lo + np.searchsorted(self.v[lo:hi], j)
+        return bool(k < hi and self.v[k] == j)
 
     def edges(self):
         """Iterate edges as (left, right) int pairs in canonical order."""
@@ -222,11 +221,12 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
     in, so the stream is that of a new generator without the cost of
     building one.
     """
-    if n_left < 1 or n_right < 1:
-        raise ValueError(f"need n_left, n_right >= 1, got {n_left}, {n_right}")
+    n_left = _integer(n_left, 1, "need n_left >= 1, got {!r}")
+    n_right = _integer(n_right, 1, "need n_right >= 1, got {!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    if not 0 <= seed < _SEED_SPACE:
+    seed = _integer(seed, 0, "seed must be a 64-bit unsigned integer, got {!r}")
+    if seed >= _SEED_SPACE:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     n_cells = n_left * n_right
     if p == 0.0:
@@ -241,11 +241,19 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
 
 def _integer(value, minimum: int, message: str) -> int:
     """value as a plain int, or ValueError(message.format(value)) when it is
-    not an integer of at least minimum.  numpy integers count as integers;
-    bools do not, though Python treats True as 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(message.format(value))
-    return int(value)
+    not an integer of at least minimum.
+
+    This is the package's one rule for integer arguments.  numpy integers
+    count as integers and come back as int, so later arithmetic cannot wrap;
+    bools do not count, though Python treats True as 1.  A plain int takes
+    a fast path that skips the slower ABC check and accepts exactly the same
+    values."""
+    if type(value) is int:
+        if value >= minimum:
+            return value
+    elif not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum:
+        return int(value)
+    raise ValueError(message.format(value))
 
 
 def _keyed_generator(seed: int) -> np.random.Generator:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _integer
 
 __all__ = [
     "AT_THRESHOLD",
@@ -38,6 +38,10 @@ AT_THRESHOLD = "AT_THRESHOLD"
 # Exact automorphism counts stop at 10**4300, Python's default int -> str
 # limit; past it the integer (about t!**(t**(r-1))) may never finish building.
 _EXACT_LOG_AUTOMORPHISMS = 4300 * math.log(10.0)
+# Trees with more than about 10**300 edges are refused: every float derived
+# from their counts (log_automorphisms, threshold_p, ...) stays finite below.
+_MAX_EDGES = 10**300
+_LOG_MAX_EDGES = math.log(_MAX_EDGES)
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,9 @@ class TreeStats:
     log_automorphisms: float
 
 
-def _check_rt(r: int, t: int):
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, got {r!r}")
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be an integer >= 1, got {t!r}")
+def _check_rt(r: int, t: int) -> tuple[int, int]:
+    return (_integer(r, 1, "r must be an integer >= 1, got {!r}"),
+            _integer(t, 1, "t must be an integer >= 1, got {!r}"))
 
 
 def _level_sizes(r: int, t: int) -> list[int]:
@@ -72,24 +74,36 @@ def _level_sizes(r: int, t: int) -> list[int]:
 
 
 def tree_stats(r: int, t: int) -> TreeStats:
-    """Exact size and symmetry counts for the exact (r, t)-tree."""
-    _check_rt(r, t)
-    sizes = _level_sizes(r, t)
-    vertices = sum(sizes)
-    edges = vertices - 1
-    left = sum(sizes[i] for i in range(0, r + 1, 2))
-    right = vertices - left
+    """Exact size and symmetry counts for the exact (r, t)-tree.
+
+    Raises ValueError for trees with more than about 10**300 edges, before
+    any count is built."""
+    r, t = _check_rt(r, t)
+    # edges = 2r at t = 1, else (t+1) * (t**r - 1) / (t-1): bounded in log
+    # space, written as a bound on r, so that neither a big integer nor a
+    # float too large for its range is built.
+    if (2 * r > _MAX_EDGES if t == 1
+            else r > (_LOG_MAX_EDGES - math.log((t + 1) / (t - 1))) / math.log(t)):
+        raise ValueError(f"the exact tree for r={r}, t={t} has more than 10**300 edges; "
+                         "its counts are out of range")
     if t == 1:
+        # A path of 2r edges centred on the root; reversing it is the only
+        # non-trivial automorphism.
+        vertices = 2 * r + 1
+        left = 1 + 2 * (r // 2)
         autos = 2
         log_autos = math.log(2.0)
     else:
+        sizes = _level_sizes(r, t)
+        vertices = sum(sizes)
+        left = sum(sizes[0::2])
         # One (t+1)! for the root's subtrees, one t! per internal non-root vertex.
         internal_non_root = (t + 1) * (t ** (r - 1) - 1) // (t - 1)
         log_autos = math.lgamma(t + 2) + internal_non_root * math.lgamma(t + 1)
         autos = None
         if log_autos < _EXACT_LOG_AUTOMORPHISMS:
             autos = math.factorial(t + 1) * math.factorial(t) ** internal_non_root
-    return TreeStats(r, t, edges, vertices, left, right, autos, log_autos)
+    return TreeStats(r, t, vertices - 1, vertices, left, vertices - left, autos, log_autos)
 
 
 def build_exact_tree(r: int, t: int) -> BipartiteGraph:
@@ -100,7 +114,7 @@ def build_exact_tree(r: int, t: int) -> BipartiteGraph:
     order.  Used by brute-force oracles and demos; tree_stats uses closed
     forms and must agree with this construction.
     """
-    _check_rt(r, t)
+    r, t = _check_rt(r, t)
     sizes = _level_sizes(r, t)
     next_id = {"L": 0, "R": 0}
     level_ids = []
@@ -126,10 +140,8 @@ def threshold_p(n: int, r: int, t: int) -> float:
     """Decodability threshold for G(n, n, p): p* = n ** -(1 + 1/e) where e is
     the exact-tree edge count.  Below p* decoding almost always succeeds,
     above it almost always fails (as n grows)."""
-    _check_rt(r, t)
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     e = tree_stats(r, t).edges
+    n = _integer(n, 2, "n must be an integer >= 2, got {!r}")
     return math.exp(-(1.0 + 1.0 / e) * math.log(n))
 
 
@@ -137,10 +149,9 @@ def asymptotic_success(c: float, r: int, t: int) -> float:
     """Limit success probability at p = c * threshold_p(n, r, t): the count of
     exact trees is asymptotically Poisson with mean c**e / a, so success
     tends to exp(-c**e / a)."""
-    _check_rt(r, t)
+    s = tree_stats(r, t)
     if not c > 0.0:
         raise ValueError(f"c must be positive, got {c!r}")
-    s = tree_stats(r, t)
     x = s.edges * math.log(c) - s.log_automorphisms
     if x > 700.0:
         return 0.0
@@ -152,12 +163,10 @@ def expected_tree_count(n: int, p: float, r: int, t: int) -> float:
 
     Each of the falling(n, v_L) * falling(n, v_R) / a ordered placements is
     present with probability p**e; evaluated in log space."""
-    _check_rt(r, t)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    s = tree_stats(r, t)
+    n = _integer(n, 1, "n must be an integer >= 1, got {!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    s = tree_stats(r, t)
     if s.left_vertices > n or s.right_vertices > n:
         return 0.0
     if p == 0.0:
@@ -183,8 +192,7 @@ def chernoff_upper(n: int, delta: float, mu: float, eps: float) -> ChernoffBound
     whose mean is mu * n: the sum exceeds (1 + eps) * mu * n with probability
     below exp(-eps^2 * mu * n / (3 delta)), and falls below (1 - eps) * mu * n
     with probability below exp(-eps^2 * mu * n / (2 delta))."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _integer(n, 1, "n must be an integer >= 1, got {!r}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     if not mu > 0.0:

@@ -58,8 +58,8 @@ def verify_config(g: BipartiteGraph, cfg: UndecodableConfig, r: int, t: int) -> 
     reachability, missing coverage, a thin vertex in layers 0..r-1, edges
     absent from g) return False; indices outside g's ranges raise.
     """
-    if r < 0 or t < 0:
-        raise ValueError("r and t must be non-negative")
+    r = _integer(r, 0, "r must be a non-negative integer, got {!r}")
+    t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
     if not 0 <= cfg.root < g.n_left:
         raise ValueError(f"root {cfg.root} out of range [0, {g.n_left})")
     for i, j in cfg.edges:

@@ -10,6 +10,7 @@ enumeration instead of backtracking search.
 from __future__ import annotations
 
 import math
+import resource
 from collections import deque
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -290,3 +291,10 @@ def random_graph(rng, max_side=5, p_max=0.7) -> BipartiteGraph:
     nr = int(rng.integers(1, max_side + 1))
     p = float(rng.uniform(0.0, p_max))
     return mask_to_graph(rng.random((nl, nr)) < p)
+
+
+def cap_address_space():
+    """preexec_fn for a child process that must fail with MemoryError, not
+    exhaust the machine, if a closed form regresses to an r-long list (at
+    r = 10**9 such a list takes about 8 GB): caps it at 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -7,7 +7,7 @@ import pytest
 from peelsim import CSV_COLUMNS, serialize_graph
 from peelsim.cli import main
 
-from helpers import path_graph
+from helpers import cap_address_space, path_graph
 
 K22_GRID = "XX\nXX\n"
 K22_EDGES = "2 2 4\n0 0\n0 1\n1 0\n1 1\n"
@@ -155,6 +155,15 @@ def test_decode_rejects_malformed_grid(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("vertex", [str(2**70), "0.5"])
+def test_decode_rejects_bad_vertex_index(capsys, tmp_path, vertex):
+    path = tmp_path / "bad.edges"
+    path.write_text(f"2 2 1\n0 {vertex}\n")
+    code, out, err = run_cli(capsys, ["decode", "--edges", str(path), "--rounds", "1", "-t", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("peelsim decode: ") and err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- detect
 
 def test_detect_config_present(capsys, k22_edges):
@@ -268,6 +277,12 @@ def test_theory_json_big_integers(capsys):
 
 def test_theory_rejects_bad_domain(capsys):
     assert run_cli(capsys, ["theory", "-r", "0", "-t", "1"])[0] == 2
+
+
+def test_theory_refuses_trees_past_10_to_300_edges(capsys):
+    code, out, err = run_cli(capsys, ["theory", "-r", "1100", "-t", "2"])
+    assert code == 2 and out == ""
+    assert "r=1100, t=2" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, fmt", [("--r-max", "text"), ("--t-max", "json")])
@@ -449,6 +464,17 @@ def test_theory_huge_trees_return(argv, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_sweep_with_huge_round_limit_at_t1_returns():
+    # The theory column uses tree_stats(10**9, 1), a closed form at t = 1.
+    proc = subprocess.run(
+        [sys.executable, "-m", "peelsim", "sweep", "--mode", "SINGLE_POINT", "--n-values", "20",
+         "-r", "1000000000", "-t", "1", "--c-values", "1", "--trials", "2"],
+        capture_output=True, text=True, timeout=10, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(CSV_COLUMNS + "\nSINGLE_POINT,20,1000000000,1,")
 
 
 def test_module_entry_point():

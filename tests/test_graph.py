@@ -54,13 +54,24 @@ def test_rejects_empty_sides():
         BipartiteGraph(3, 0)
 
 
+def test_rejects_non_integer_endpoints():
+    # Casting would have stored (0.7, 1.2) as the edge (0, 1).
+    bad = ([(0.7, 1.2)], np.array([[True, False]]), [(0, 2**70)], np.array([[0, 1]], dtype=np.uint64))
+    for edges in bad:
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            BipartiteGraph(3, 3, edges)
+    g = BipartiteGraph(3, 3, np.array([[2, 1], [0, 0]], dtype=np.int8))
+    assert list(g.edges()) == [(0, 0), (2, 1)] and g.u.dtype == np.int64
+
+
 def test_neighbor_views_are_consistent():
     rng = np.random.default_rng(7)
     for _ in range(40):
         g = mask_to_graph(rng.random((5, 6)) < 0.4)
+        edges = set(g.edges())
         for i in range(g.n_left):
-            for j in g.neighbors_of_left(i).tolist():
-                assert g.has_edge(i, j)
+            for j in range(g.n_right):
+                assert g.has_edge(i, j) == ((i, j) in edges)
         assert int(np.bincount(g.u, minlength=g.n_left).sum()) == g.edge_count
         assert int(np.bincount(g.v, minlength=g.n_right).sum()) == g.edge_count
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from peelsim import (
 )
 from peelsim import DecodeParams, decode, find_config
 
-from helpers import ahu_automorphisms, complete_graph, literal_automorphisms
+from helpers import ahu_automorphisms, cap_address_space, complete_graph, literal_automorphisms
 
 RT_GRID = [(r, t) for r in (1, 2, 3) for t in (1, 2, 3)]
 SMALL_RT = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]  # literal-enumeration scale
@@ -96,6 +98,33 @@ def test_threshold_for_huge_trees_returns():
     p = threshold_p(100, 40, 9)
     assert 0.0 < p < 1.0
     assert tree_stats(40, 9).automorphisms is None
+
+
+def test_path_trees_use_closed_forms():
+    # At t = 1 the tree is a path of 2r edges; no r-long list is built.
+    code = ("from peelsim import tree_stats; s = tree_stats(10**9, 1); "
+            "print(s.edges, s.vertices, s.left_vertices, s.right_vertices, s.automorphisms)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(x) for x in (2 * 10**9, 2 * 10**9 + 1, 10**9 + 1, 10**9, 2)]
+    for r in range(1, 8):
+        g = build_exact_tree(r, 1)
+        s = tree_stats(r, 1)
+        assert (s.edges, s.left_vertices, s.right_vertices) == (g.edge_count, g.n_left, g.n_right)
+
+
+def test_trees_past_10_to_300_edges_are_refused():
+    s = tree_stats(994, 2)
+    assert len(str(s.edges)) == 300
+    assert math.isfinite(s.log_automorphisms)
+    assert 0.0 < threshold_p(10**6, 994, 2) < 1.0
+    assert asymptotic_success(1e300, 994, 2) == 0.0
+    for r, t in ((995, 2), (1100, 2), (10**400, 2), (5 * 10**299 + 1, 1), (1, 10**301)):
+        with pytest.raises(ValueError, match=f"r={r}, t={t}"):
+            tree_stats(r, t)
+    with pytest.raises(ValueError, match="r=1100, t=2"):
+        threshold_p(100, 1100, 2)
 
 
 def test_counts_increase_with_parameters():
