@@ -2,10 +2,13 @@
 
 Subcommands: gen (sample a pattern), decode (peel a pattern), detect
 (witnesses, short cycles, exact-tree counts), theory (closed forms),
-sweep (Monte Carlo).  Exit codes: 0 on success, 1 when --strict decoding
-fails, 2 on usage or input-format errors and on inputs too large to fit in
-memory.  All randomness flows from --seed (default 0); nothing reads the
-clock.
+sweep (Monte Carlo).  Each takes only the flags it reads.  Exit codes: 0
+on success, 1 when --strict decoding fails, 2 on usage errors (argparse
+rejects unknown flags, bad choices and conflicting or missing flag
+pairs), on input-format errors, on inputs too large to fit in memory and
+on theory tables of more than 10,000 rows.  Only gen and sweep draw
+random numbers, and all of them flow from --seed (gen: default 0; sweep:
+the spec's master_seed, default 0); nothing reads the clock.
 """
 
 from __future__ import annotations
@@ -23,36 +26,36 @@ from .witness import count_exact_trees, find_config, find_short_cycle, serialize
 
 __all__ = ["build_parser", "main"]
 
+# A theory table is built in memory before any row is printed.
+_MAX_THEORY_ROWS = 10_000
+
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit seed (default 0)")
-    common.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    common.add_argument("--output", default=None, help="write to this file instead of stdout")
-
     parser = argparse.ArgumentParser(prog="peelsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="sample a random erasure pattern")
+    p_gen = sub.add_parser("gen", help="sample a random erasure pattern")
     p_gen.add_argument("-n", "--n-left", type=int, required=True)
     p_gen.add_argument("--n-right", type=int, default=None, help="defaults to n-left")
     p_gen.add_argument("-p", type=float, required=True, help="per-cell erasure probability")
+    p_gen.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
 
-    p_dec = sub.add_parser("decode", parents=[common], help="run the peeling decoder")
+    p_dec = sub.add_parser("decode", help="run the peeling decoder")
     _input_flags(p_dec)
-    p_dec.add_argument("-r", "--rounds", type=int, default=None)
+    steps = p_dec.add_mutually_exclusive_group(required=True)
+    steps.add_argument("-r", "--rounds", type=int)
+    steps.add_argument("--fixpoint", action="store_true", help="peel until nothing moves")
     p_dec.add_argument("-t", type=int, required=True)
-    p_dec.add_argument("--fixpoint", action="store_true", help="peel until nothing moves")
     p_dec.add_argument("--strict", action="store_true", help="exit 1 when decoding fails")
 
-    p_det = sub.add_parser("detect", parents=[common], help="find failure witnesses")
+    p_det = sub.add_parser("detect", help="find failure witnesses")
     _input_flags(p_det)
     p_det.add_argument("--kind", choices=("config", "cycle", "trees"), default="config")
     p_det.add_argument("-r", "--rounds", type=int, default=None)
     p_det.add_argument("-t", type=int, default=None)
     p_det.add_argument("--max-len", type=int, default=4, help="cycle length bound (even, >= 4)")
 
-    p_thy = sub.add_parser("theory", parents=[common], help="closed-form predictions")
+    p_thy = sub.add_parser("theory", help="closed-form predictions")
     p_thy.add_argument("-r", type=int, required=True)
     p_thy.add_argument("-t", type=int, required=True)
     p_thy.add_argument("--r-max", type=int, default=None, help="table up to this r")
@@ -60,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thy.add_argument("-c", type=float, default=None, help="also report asymptotic success at c")
     p_thy.add_argument("-n", type=int, default=None, help="also report threshold_p at n")
 
-    p_swp = sub.add_parser("sweep", parents=[common], help="run a Monte Carlo sweep")
+    p_swp = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     p_swp.add_argument("--config", default=None, help="spec file (JSON or key=value)")
     p_swp.add_argument("--mode", default=None)
     p_swp.add_argument("--n-values", default=None, help="comma-separated")
@@ -73,6 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--confidence", type=float, default=None)
     p_swp.add_argument("--workers", type=_workers, default=1,
                        help="pool processes, capped at the CPUs available (default 1: in-process)")
+    p_swp.add_argument("--seed", type=int, default=None, help="64-bit master seed (overrides the spec's)")
+    p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    for p in (p_dec, p_det, p_thy):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write to this file instead of stdout")
     return parser
 
 
@@ -87,13 +97,12 @@ def _workers(text):
 
 
 def _input_flags(p):
-    p.add_argument("--edges", default=None, help="edge-list file")
-    p.add_argument("--grid", default=None, help="grid file ('.'/'X')")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--edges", help="edge-list file")
+    source.add_argument("--grid", help="grid file ('.'/'X')")
 
 
 def _load_graph(args):
-    if (args.edges is None) == (args.grid is None):
-        raise ValueError("pass exactly one of --edges or --grid")
     if args.edges is not None:
         with open(args.edges) as fh:
             return parse_graph(fh.read())
@@ -130,11 +139,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.format != "text":
-        raise ValueError("gen emits the edge-list text format only")
     n_right = args.n_left if args.n_right is None else args.n_right
-    seed = 0 if args.seed is None else args.seed
-    g = sample_bipartite(args.n_left, n_right, args.p, seed)
+    g = sample_bipartite(args.n_left, n_right, args.p, args.seed)
     _emit(args, serialize_graph(g))
     return 0
 
@@ -142,12 +148,8 @@ def _cmd_gen(args) -> int:
 def _cmd_decode(args) -> int:
     g = _load_graph(args)
     if args.fixpoint:
-        if args.rounds is not None:
-            raise ValueError("--fixpoint and --rounds are mutually exclusive")
         outcome = decode_fixpoint(g, args.t)
     else:
-        if args.rounds is None:
-            raise ValueError("pass --rounds (or --fixpoint)")
         outcome = decode(g, DecodeParams(rounds=args.rounds, t=args.t))
     if args.format == "json":
         payload = {
@@ -160,7 +162,7 @@ def _cmd_decode(args) -> int:
             ],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "text":
+    else:
         lines = [
             f"{'SUCCESS' if outcome.success else 'FAILURE'} residual_edges={outcome.residual.edge_count}",
             f"rounds_executed={outcome.rounds_executed}",
@@ -170,18 +172,14 @@ def _cmd_decode(args) -> int:
                 f"round {i} side={rec.side} cleared={len(rec.cleared)} edges_removed={rec.edges_removed}"
             )
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise ValueError("decode supports text or json output")
     return 1 if args.strict and not outcome.success else 0
 
 
 def _cmd_detect(args) -> int:
     g = _load_graph(args)
-    if args.format == "csv":
-        raise ValueError("detect supports text or json output")
+    if args.kind != "cycle" and (args.rounds is None or args.t is None):
+        raise ValueError(f"--kind {args.kind} needs --rounds and -t")
     if args.kind == "config":
-        if args.rounds is None or args.t is None:
-            raise ValueError("detect --kind config needs --rounds and -t")
         cfg = find_config(g, args.rounds, args.t)
         if args.format == "json":
             payload = None if cfg is None else {
@@ -205,8 +203,6 @@ def _cmd_detect(args) -> int:
             body = "\n".join(f"{i} {j}" for i, j in cycle)
             _emit(args, f"CYCLE PRESENT length={len(cycle)}\n{body}\n")
     else:
-        if args.rounds is None or args.t is None:
-            raise ValueError("detect --kind trees needs --rounds and -t")
         count = count_exact_trees(g, args.rounds, args.t)
         if args.format == "json":
             _emit(args, json.dumps({"exact_trees": count}) + "\n")
@@ -222,6 +218,9 @@ def _cmd_theory(args) -> int:
         raise ValueError(f"--r-max must be at least -r ({args.r}), got {r_hi}")
     if t_hi < args.t:
         raise ValueError(f"--t-max must be at least -t ({args.t}), got {t_hi}")
+    count = (r_hi - args.r + 1) * (t_hi - args.t + 1)
+    if count > _MAX_THEORY_ROWS:
+        raise ValueError(f"the table would have {count} rows; at most {_MAX_THEORY_ROWS} are allowed")
     rows = []
     for r in range(args.r, r_hi + 1):
         for t in range(args.t, t_hi + 1):
@@ -249,14 +248,12 @@ def _cmd_theory(args) -> int:
             for row in rows
         ]
         _emit(args, json.dumps(enc, indent=2) + "\n")
-    elif args.format == "text":
+    else:
         lines = []
         for row in rows:
             parts = [f"{k}={_fmt_theory(v)}" for k, v in row.items()]
             lines.append(" ".join(parts))
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise ValueError("theory supports text or json output")
     return 0
 
 
@@ -285,8 +282,7 @@ def _cmd_sweep(args) -> int:
             text = fh.read()
     spec = load_spec(text, overrides)
     results = run_sweep(spec, workers=args.workers)
-    fmt = "csv" if args.format in ("csv", "text") else "json"
-    _emit(args, write_results(results, fmt))
+    _emit(args, write_results(results, args.format))
     return 0
 
 

@@ -171,14 +171,17 @@ def expected_tree_count(n: int, p: float, r: int, t: int) -> float:
         return 0.0
     if p == 0.0:
         return 0.0
-    log_mean = (
-        math.lgamma(n + 1)
-        - math.lgamma(n - s.left_vertices + 1)
-        + math.lgamma(n + 1)
-        - math.lgamma(n - s.right_vertices + 1)
-        - s.log_automorphisms
-        + s.edges * math.log(p)
-    )
+    try:
+        log_mean = (
+            math.lgamma(n + 1)
+            - math.lgamma(n - s.left_vertices + 1)
+            + math.lgamma(n + 1)
+            - math.lgamma(n - s.right_vertices + 1)
+            - s.log_automorphisms
+            + s.edges * math.log(p)
+        )
+    except OverflowError:
+        raise _n_too_large(n) from None
     return math.exp(log_mean)
 
 
@@ -199,8 +202,16 @@ def chernoff_upper(n: int, delta: float, mu: float, eps: float) -> ChernoffBound
         raise ValueError(f"mu must be positive, got {mu!r}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    base = eps * eps * mu * n / delta
+    try:
+        base = eps * eps * mu * n / delta
+    except OverflowError:
+        raise _n_too_large(n) from None
     return ChernoffBounds(math.exp(-base / 3.0), math.exp(-base / 2.0))
+
+
+def _n_too_large(n: int) -> ValueError:
+    # Formulas evaluated in floats cannot take n past float (or lgamma) range.
+    return ValueError(f"n is too large for float arithmetic: an integer of {n.bit_length()} bits")
 
 
 def linear_regime_prediction(p: float, alpha: float) -> str:

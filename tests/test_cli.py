@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from peelsim import CSV_COLUMNS, serialize_graph
-from peelsim.cli import main
+from peelsim.cli import build_parser, main
 
 from helpers import cap_address_space, path_graph
 
@@ -292,6 +293,16 @@ def test_theory_rejects_inverted_range(capsys, flag, fmt):
     assert flag in err
 
 
+@pytest.mark.parametrize("r_max, code", [("10000", 0), ("10001", 2)])
+def test_theory_bounds_table_rows(capsys, r_max, code):
+    got, out, err = run_cli(capsys, ["theory", "-r", "1", "--r-max", r_max, "-t", "1"])
+    assert got == code
+    if code == 0:
+        assert len(out.splitlines()) == 10000
+    else:
+        assert out == "" and "10001 rows" in err and err.count("\n") == 1
+
+
 # --------------------------------------------------------------------- sweep
 
 SWEEP_CONFIG = """
@@ -451,6 +462,37 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["gen", "--frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_each_subcommand_declares_only_the_shared_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def shared(p):
+        return {opt: a.choices for a in p._actions for opt in a.option_strings
+                if opt in ("--seed", "--format", "--output")}
+
+    text_or_json = {"--format": ("text", "json"), "--output": None}
+    assert {name: shared(p) for name, p in sub.choices.items()} == {
+        "gen": {"--seed": None, "--output": None},
+        "decode": text_or_json,
+        "detect": text_or_json,
+        "theory": text_or_json,
+        "sweep": {"--seed": None, "--format": ("csv", "json"), "--output": None},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--edges", "{edges}", "--rounds", "1", "-t", "1", "--seed", "1"],
+    ["detect", "--edges", "{edges}", "--rounds", "1", "-t", "1", "--seed", "1"],
+    ["theory", "-r", "1", "-t", "1", "--seed", "1"],
+    ["gen", "-n", "4", "-p", "0", "--format", "text"],
+    ["sweep", "--mode", "SINGLE_POINT", "--n-values", "8", "-r", "1", "-t", "1",
+     "--c-values", "1", "--trials", "2", "--format", "text"],
+], ids=["decode-seed", "detect-seed", "theory-seed", "gen-format", "sweep-format-text"])
+def test_removed_flags_exit_two(capsys, k22_edges, argv):
+    code, out, err = run_cli(capsys, [arg.format(edges=k22_edges) for arg in argv])
+    assert code == 2 and out == ""
+    assert argv[-2] in err
 
 
 @pytest.mark.parametrize("argv,expect", [

@@ -246,6 +246,10 @@ def test_expected_count_validation():
         expected_tree_count(0, 0.5, 1, 1)
     with pytest.raises(ValueError):
         expected_tree_count(10, 1.5, 1, 1)
+    # lgamma cannot take n past float range; threshold_p needs only log(n).
+    with pytest.raises(ValueError, match="n is too large"):
+        expected_tree_count(10**400, 0.5, 1, 1)
+    assert threshold_p(10**400, 1, 1) == 0.0
 
 
 # ------------------------------------------------------------------- chernoff
@@ -271,6 +275,7 @@ def test_chernoff_validation():
         dict(n=1, delta=0.0, mu=1.0, eps=1.0),
         dict(n=1, delta=1.0, mu=0.0, eps=1.0),
         dict(n=1, delta=1.0, mu=1.0, eps=0.0),
+        dict(n=10**400, delta=1.0, mu=0.5, eps=0.1),
     ):
         with pytest.raises(ValueError):
             chernoff_upper(**bad)
