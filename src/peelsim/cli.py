@@ -30,9 +30,21 @@ __all__ = ["build_parser", "main"]
 _MAX_THEORY_ROWS = 10_000
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser.  It reports a flag it does not take itself,
+    under its own usage line, instead of passing it up to the top-level
+    parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="peelsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p_gen = sub.add_parser("gen", help="sample a random erasure pattern")
     p_gen.add_argument("-n", "--n-left", type=int, required=True)

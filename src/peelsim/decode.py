@@ -154,23 +154,23 @@ class _MaskEngine:
         ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
         # minlength=n: qualifies[ends] below also reads the ends of dead edges.
         deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
-        # In place, so a round holds one n-length temporary fewer.
+        # Vertices of degree 0 qualify too; they have no live edge to remove.
         qualifies = deg <= self.t
-        qualifies &= deg > 0
         removed = 0
         if qualifies.any():
-            # Every cleared vertex has a live edge, so this round removes some.
             kill = qualifies[ends]
-            if self.alive is None:
-                self.alive = ~kill
-            else:
+            if self.alive is not None:
                 kill &= self.alive
-                self.alive ^= kill
             removed = int(np.count_nonzero(kill))
-            self.live_edges -= removed
-            self.last_removal = self.rounds
+            if removed:
+                if self.alive is None:
+                    self.alive = np.logical_not(kill, out=kill)
+                else:
+                    self.alive ^= kill
+                self.live_edges -= removed
+                self.last_removal = self.rounds
         if trace is not None:
-            trace.append(RoundRecord(side, tuple(qualifies.nonzero()[0].tolist()), removed)
+            trace.append(RoundRecord(side, tuple((qualifies & (deg > 0)).nonzero()[0].tolist()), removed)
                          if removed else _IDLE[side])
 
     def residual(self) -> BipartiteGraph:

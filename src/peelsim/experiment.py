@@ -319,7 +319,7 @@ _TRIM_THRESHOLD = 512 * 2**20
 
 
 def _keep_heap_resident(libc=None) -> bool:
-    """Pool initializer: stop glibc from trimming freed trial arrays.
+    """Stop glibc from trimming freed trial arrays in this process.
 
     Returns whether both thresholds took; where libc has no mallopt, or
     mallopt refuses a value, it changes nothing more and returns False.
@@ -348,6 +348,11 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     min(workers, ranges, CPUs available to this process) processes; with
     one, the sweep runs in this process, one range per point, calling
     run_trial in point-major, trial-ascending order.
+
+    Every process that runs trials keeps freed trial arrays resident: the
+    pool's workers, and with one process the calling process itself, whose
+    glibc mmap and trim thresholds this sets for the rest of its life (see
+    _keep_heap_resident).
     """
     workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
@@ -356,6 +361,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     ranges = [(spec, task, start, stop) for task in points for start, stop in cuts]
     procs = min(procs, len(ranges))
     if procs == 1:
+        _keep_heap_resident()
         partials = list(map(_run_range, ranges))
     else:
         with ProcessPoolExecutor(max_workers=procs, initializer=_keep_heap_resident) as pool:

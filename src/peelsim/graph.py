@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 _SEED_SPACE = 2**64
+_INT64_MAX = 2**63 - 1
+# Larger grids are refused, so that cell ids, gaps and positions stay
+# below 2**63 (see _skip_sample).
+_MAX_CELLS = 2**61
 # One generator per thread, re-keyed for every sample (see sample_bipartite).
 _local = threading.local()
 _ZEROS = (0, 0, 0, 0)
@@ -219,7 +223,7 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
     the identical graph on any platform.  Each thread keeps one Generator
     and re-keys it per call to the state a fresh ``Philox(key=seed)`` starts
     in, so the stream is that of a new generator without the cost of
-    building one.
+    building one.  Grids of more than 2**61 cells are refused.
     """
     n_left = _integer(n_left, 1, "need n_left >= 1, got {!r}")
     n_right = _integer(n_right, 1, "need n_right >= 1, got {!r}")
@@ -229,13 +233,19 @@ def sample_bipartite(n_left: int, n_right: int, p: float, seed: int) -> Bipartit
     if seed >= _SEED_SPACE:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     n_cells = n_left * n_right
+    if n_cells > _MAX_CELLS:
+        raise ValueError(f"a {n_left} x {n_right} grid has more than 2**61 cells")
     if p == 0.0:
         cells = np.empty(0, dtype=np.int64)
     elif p == 1.0:
         cells = np.arange(n_cells, dtype=np.int64)
     else:
         cells = _skip_sample(_keyed_generator(seed), n_cells, p)
-    u, v = np.divmod(cells, n_right)
+    # Faster than np.divmod.  Both arrays are fresh, so the graph does not
+    # pin the oversized draw buffer that cells may be a view of.
+    u = cells // n_right
+    v = u * n_right
+    np.subtract(cells, v, out=v)
     return BipartiteGraph._from_sorted(n_left, n_right, u, v)
 
 
@@ -275,31 +285,40 @@ def _keyed_generator(seed: int) -> np.random.Generator:
 
 def _skip_sample(gen, n_cells: int, p: float) -> np.ndarray:
     # Gaps between consecutive selected cells are iid geometric on {1, 2, ...};
-    # drawn in vectorized batches sized to the expected remainder.
+    # drawn in vectorized batches sized to the expected remainder.  Each gap
+    # is floor(log1p(-x) / log_q) + 1 for a uniform x.  A quotient past the
+    # grid is clamped to `top`, the least float >= n_cells: every gap inside
+    # the grid keeps its bits, a clamped one still lands past the grid, and
+    # the cast cannot overflow.
     log_q = math.log1p(-p)
+    top = float(n_cells)
+    if top < n_cells:
+        top = math.nextafter(top, math.inf)
+    # A running sum of `step` gaps from a position inside the grid stays
+    # below 2**63.  A batch takes more than one step only when it holds more
+    # than about 2**63 / n_cells gaps.
+    step = (_INT64_MAX - n_cells) // (int(top) + 1)
     chunks = []
     pos = -1
-    while True:
-        remaining = n_cells - pos - 1
-        if remaining <= 0:
-            break
-        mean = remaining * p
-        batch = int(mean + 4.0 * math.sqrt(mean + 1.0)) + 16
-        # floor(log1p(-x) / log_q) + 1, computed in place.
-        x = gen.random(batch)
+    while pos < n_cells - 1:
+        mean = (n_cells - pos - 1) * p
+        x = gen.random(int(mean + 4.0 * math.sqrt(mean + 1.0)) + 16)
         np.negative(x, out=x)
         np.log1p(x, out=x)
         x /= log_q
-        np.floor(x, out=x)
-        positions = x.astype(np.int64)
-        positions += 1
-        np.cumsum(positions, out=positions)
-        positions += pos
-        # Gaps are >= 1, so positions increase strictly.
-        if positions[-1] < n_cells:
-            chunks.append(positions)
-            pos = int(positions[-1])
-        else:
-            chunks.append(positions[: int(np.searchsorted(positions, n_cells))])
-            break
-    return np.concatenate(chunks)
+        # The quotient is >= 0, so the unsafe cast truncates it to its floor;
+        # the gaps overwrite the quotients in place.
+        gaps = np.minimum(x, top, out=x.view(np.int64), casting="unsafe")
+        gaps += 1
+        for start in range(0, gaps.size, step):
+            # The gaps become positions; they increase strictly.
+            block = gaps[start:start + step]
+            block[0] += pos
+            np.cumsum(block, out=block)
+            pos = int(block[-1])
+            if pos >= n_cells:
+                gaps = gaps[:start + int(np.searchsorted(block, n_cells))]
+                break
+        chunks.append(gaps)
+    # One batch nearly always suffices.
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

@@ -173,16 +173,40 @@ def expected_tree_count(n: int, p: float, r: int, t: int) -> float:
         return 0.0
     try:
         log_mean = (
-            math.lgamma(n + 1)
-            - math.lgamma(n - s.left_vertices + 1)
-            + math.lgamma(n + 1)
-            - math.lgamma(n - s.right_vertices + 1)
+            _log_falling(n, s.left_vertices)
+            + _log_falling(n, s.right_vertices)
             - s.log_automorphisms
             + s.edges * math.log(p)
         )
     except OverflowError:
         raise _n_too_large(n) from None
     return math.exp(log_mean)
+
+
+# From here on the three-term tail of Stirling's series is off by less than
+# 1 / (1680 x**7), about 1e-17.
+_STIRLING_FROM = 100
+
+
+def _log_falling(n: int, v: int) -> float:
+    """log(n (n-1) ... (n-v+1)) for 0 <= v <= n.
+
+    lgamma(n + 1) - lgamma(n - v + 1) subtracts two values of size about
+    n log n and loses their digits for large n.  Once m = n - v reaches
+    _STIRLING_FROM, Stirling's series for both factorials is used instead:
+    its leading terms combine into v log n - v - (m + 1/2) log1p(-v/n),
+    which cancels only about v, and its tail terms are small.  Below that,
+    lgamma(m + 1) is small and the difference keeps its digits."""
+    m = n - v
+    if m < _STIRLING_FROM:
+        return math.lgamma(n + 1) - math.lgamma(m + 1)
+    return v * math.log(n) - v - (m + 0.5) * math.log1p(-v / n) + _stirling_tail(n) - _stirling_tail(m)
+
+
+def _stirling_tail(x: int) -> float:
+    # log(x!) - (x + 1/2) log(x) + x - log(2 pi) / 2, to three terms.
+    x2 = float(x) * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
 
 
 class ChernoffBounds(NamedTuple):

@@ -493,6 +493,9 @@ def test_removed_flags_exit_two(capsys, k22_edges, argv):
     code, out, err = run_cli(capsys, [arg.format(edges=k22_edges) for arg in argv])
     assert code == 2 and out == ""
     assert argv[-2] in err
+    # The subcommand's own parser reports it, under its own usage line.
+    assert err.startswith(f"usage: peelsim {argv[0]} ")
+    assert f"\npeelsim {argv[0]}: error: " in err
 
 
 @pytest.mark.parametrize("argv,expect", [

@@ -397,6 +397,17 @@ def test_serial_sweep_runs_trials_point_major_in_order(monkeypatch):
                      for k in range(4) for i in range(spec.trials_per_point)]
 
 
+def test_serial_sweep_keeps_its_own_heap_resident(monkeypatch, fake_pool):
+    # With one process the trials run here, so this process pins the
+    # thresholds itself, once per sweep and before its first trial.
+    events = []
+    monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: events.append("heap"))
+    monkeypatch.setattr(experiment, "run_trial", lambda *args: events.append("trial") or run_trial(*args))
+    run_sweep(_single_point(3))
+    assert fake_pool == []
+    assert events == ["heap", "trial", "trial", "trial"]
+
+
 class _Libc:
     def __init__(self, returns):
         self.calls = []

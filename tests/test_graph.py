@@ -238,6 +238,44 @@ def test_sampled_graphs_are_pinned():
     assert h.hexdigest() == "872482c666137f9a28d405571679c90e8a2752c8c5817c0cb4318bdacf421c19"
 
 
+def ref_skip_cells(n_cells, p, seed, draws):
+    # The same gaps in Python integers, which cannot wrap: each is
+    # floor(log1p(-x) / log_q) + 1 over the seed's first `draws` uniforms.
+    x = np.random.Generator(np.random.Philox(key=seed)).random(draws)
+    quotients = np.log1p(-x) / np.log1p(-p)
+    cells, pos = [], -1
+    for q in quotients.tolist():
+        pos += int(q) + 1
+        if pos >= n_cells:
+            return cells
+        cells.append(pos)
+    raise AssertionError("the draws ran out inside the grid")
+
+
+@pytest.mark.parametrize("n,p", [
+    (2, 1e-18),
+    (2, 1e-300),
+    (3, 1e-6),
+    (2**30 + 12345, 1e-17),
+    # About 2.3e18 cells: a batch sums its gaps three at a time.
+    (1_518_500_249, 4e-16),
+])
+def test_sampled_ids_are_in_range(n, p):
+    for seed in range(3):
+        g = sample_bipartite(n, n, p, seed)
+        assert g.u.min(initial=0) >= 0 and g.u.max(initial=0) < n
+        assert g.v.min(initial=0) >= 0 and g.v.max(initial=0) < n
+        assert (g.u * n + g.v).tolist() == ref_skip_cells(n * n, p, seed, 4096)
+
+
+def test_sample_refuses_grids_past_2_61_cells():
+    with pytest.raises(ValueError, match="more than 2\\*\\*61 cells"):
+        sample_bipartite(2**32, 2**32, 1e-19, 1)
+    with pytest.raises(ValueError):
+        sample_bipartite(2**61 + 1, 1, 0.5, 1)
+    assert sample_bipartite(2**61, 1, 1e-30, 1).edge_count == 0
+
+
 def test_threads_sample_the_serial_graphs():
     # Four threads sample interleaved seeds at once; each must get exactly
     # the graph a serial call gives for its seed.
@@ -283,6 +321,10 @@ def test_sample_structural_validity():
     for seed in range(20):
         g = sample_bipartite(9, 13, 0.35, seed)
         assert parse_graph(serialize_graph(g)) == g  # in range, sorted, no dups
+        # Each id array owns a buffer of exactly edge_count elements, not a
+        # view into the larger draw it was cut from.
+        assert g.u.base is None and g.v.base is None
+        assert g.u.nbytes == g.v.nbytes == g.edge_count * g.u.itemsize
 
 
 def test_sample_extreme_probabilities():

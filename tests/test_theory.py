@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,26 @@ def test_expected_count_converges_to_poisson_mean():
             for n in (100, 1000, 10_000)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+
+def _falling(n, v):
+    out = 1
+    for i in range(v):
+        out *= n - i
+    return out
+
+
+@pytest.mark.parametrize("n", [10**6, 10**12, 10**16])
+@pytest.mark.parametrize("r,t", [(1, 1), (2, 1), (2, 2)])
+def test_expected_count_keeps_its_digits_at_large_n(n, r, t):
+    # Against exact rational arithmetic: falling(n, v_L) * falling(n, v_R)
+    # * p**e / a, with p taken exactly as the float it is.
+    s = tree_stats(r, t)
+    for c in (0.5, 1.0, 2.0):
+        p = c * threshold_p(n, r, t)
+        exact = _falling(n, s.left_vertices) * _falling(n, s.right_vertices) * Fraction(p) ** s.edges
+        exact /= s.automorphisms
+        assert math.isclose(expected_tree_count(n, p, r, t), float(exact), rel_tol=1e-12)
 
 
 def test_expected_count_validation():
