@@ -5,10 +5,11 @@ Subcommands: gen (sample a pattern), decode (peel a pattern), detect
 sweep (Monte Carlo).  Each takes only the flags it reads.  Exit codes: 0
 on success, 1 when --strict decoding fails, 2 on usage errors (argparse
 rejects unknown flags, bad choices and conflicting or missing flag
-pairs), on input-format errors, on inputs too large to fit in memory and
-on theory tables of more than 10,000 rows.  Only gen and sweep draw
-random numbers, and all of them flow from --seed (gen: default 0; sweep:
-the spec's master_seed, default 0); nothing reads the clock.
+pairs), on input-format errors, on inputs too large to fit in memory, on
+a sweep worker process that dies and on theory tables of more than
+10,000 rows.  Only gen and sweep draw random numbers, and all of them
+flow from --seed (gen: default 0; sweep: the spec's master_seed, default
+0); nothing reads the clock.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .decode import DecodeParams, decode, decode_fixpoint
 from .experiment import load_spec, run_sweep, write_results
@@ -87,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--trials", type=int, default=None)
     p_swp.add_argument("--confidence", type=float, default=None)
     p_swp.add_argument("--workers", type=_workers, default=1,
-                       help="pool processes, capped at the CPUs available (default 1: in-process)")
+                       help="processes to run trials on, this one included (the rest are forked);"
+                            " capped at the CPUs available (default 1: in-process)")
     p_swp.add_argument("--seed", type=int, default=None, help="64-bit master seed (overrides the spec's)")
     p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -147,6 +150,10 @@ def main(argv=None) -> int:
         return handler(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"peelsim {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except BrokenExecutor:  # a sweep's pool worker was killed, say by the OOM killer
+        print(f"peelsim {args.command}: a worker process died before finishing its trials",
+              file=sys.stderr)
         return 2
 
 

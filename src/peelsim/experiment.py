@@ -3,14 +3,15 @@
 Reproducibility contract: every trial's seed is derived from
 (master_seed, point_index, trial_index) by SplitMix64, so results are a
 pure function of the experiment spec.  Points are processed in sorted
-(n, c_or_p) order.  A pool runs each point's trials as contiguous ranges,
-and every range returns integer partial sums that are added per point
-before any float is formed, so the output is byte-identical however the
-trials were cut, that is, at any worker count.
+(n, c_or_p) order.  Several processes run each point's trials as
+contiguous ranges, and every range returns integer partial sums that are
+added per point before any float is formed, so the output is
+byte-identical however the trials were cut, that is, at any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import math
@@ -147,8 +148,6 @@ class ExperimentSpec:
             self._need_r_and_t()
             if not self.c_values or self.p_values is not None:
                 raise ValueError("CONSTANT_T_SWEEP takes c_values (and no p_values)")
-            if any(not c > 0 for c in self.c_values):
-                raise ValueError("every c must be positive")
         elif self.mode == LINEAR_REGIME_SWEEP:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"LINEAR_REGIME_SWEEP needs alpha in (0, 1), got {self.alpha!r}")
@@ -171,8 +170,9 @@ class ExperimentSpec:
                 raise ValueError("SINGLE_POINT takes exactly one c or p value")
             if have_p and not 0.0 <= self.p_values[0] <= 1.0:
                 raise ValueError("p must lie in [0, 1]")
-            if have_c and not self.c_values[0] > 0:
-                raise ValueError("c must be positive")
+        # An infinite c would reach the results as a non-finite float.
+        if self.c_values and any(not 0.0 < c < math.inf for c in self.c_values):
+            raise ValueError("every c must be positive and finite")
 
     def _need_r_and_t(self):
         # threshold_p and asymptotic_success are defined only for r, t >= 1.
@@ -273,6 +273,11 @@ def _run_range(args) -> tuple[int, int, int, int]:
     return successes, one_round, residual_sum, fixpoint_sum
 
 
+def _run_share(ranges) -> list[tuple[int, int, int, int]]:
+    """One process's ranges, run in the order given."""
+    return [_run_range(args) for args in ranges]
+
+
 def _estimate(spec: ExperimentSpec, task: dict, sums) -> PointEstimate:
     successes, one_round, residual_sum, fixpoint_sum = sums
     trials = spec.trials_per_point
@@ -341,18 +346,24 @@ def _keep_heap_resident(libc=None) -> bool:
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ...]:
     """Run every point of the sweep; identical output for any worker count.
 
-    Each point's trials are cut into contiguous ranges, one per pool
-    process, and each range returns integer partial sums (see _run_range)
-    that are added per point.  Integer sums do not depend on how the trials
-    were cut, so the result is the same at any worker count.  The pool gets
-    min(workers, ranges, CPUs available to this process) processes; with
-    one, the sweep runs in this process, one range per point, calling
-    run_trial in point-major, trial-ascending order.
+    The sweep runs on procs = min(workers, ranges, CPUs available to this
+    process) processes, the calling one included: procs - 1 are forked, and
+    with one process none is.  Each point's trials are cut into contiguous
+    ranges, one per process (fewer when a point has fewer trials), and the
+    ranges, point-major, are dealt out so that process j runs
+    ranges[j::procs], which is cut j of every point when each point has
+    procs cuts.  The calling process hands the
+    other shares to the pool, runs its own, and only then waits on the
+    pool.  Each range returns integer partial sums (see _run_range), which
+    are put back in range order and added per point.  Integer sums do not
+    depend on how the trials were cut or who ran them, so the result is
+    the same at any worker count.  With one process, run_trial is called
+    in point-major, trial-ascending order.
 
     Every process that runs trials keeps freed trial arrays resident: the
-    pool's workers, and with one process the calling process itself, whose
-    glibc mmap and trim thresholds this sets for the rest of its life (see
-    _keep_heap_resident).
+    pool's workers, and the calling process, whose glibc mmap and trim
+    thresholds this sets for the rest of its life (see _keep_heap_resident).
+    No pool process outlives the call, whether it returns or raises.
     """
     workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
@@ -360,12 +371,17 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     cuts = _split(spec.trials_per_point, min(procs, spec.trials_per_point))
     ranges = [(spec, task, start, stop) for task in points for start, stop in cuts]
     procs = min(procs, len(ranges))
-    if procs == 1:
+    partials = [None] * len(ranges)
+    # With one process, range(1, procs) is empty: nothing is submitted to
+    # the null context that stands in for the pool.
+    pool = (ProcessPoolExecutor(max_workers=procs - 1, initializer=_keep_heap_resident)
+            if procs > 1 else contextlib.nullcontext())
+    with pool:
+        futures = [pool.submit(_run_share, ranges[j::procs]) for j in range(1, procs)]
         _keep_heap_resident()
-        partials = list(map(_run_range, ranges))
-    else:
-        with ProcessPoolExecutor(max_workers=procs, initializer=_keep_heap_resident) as pool:
-            partials = list(pool.map(_run_range, ranges))
+        partials[0::procs] = _run_share(ranges[0::procs])
+        for j, future in enumerate(futures, start=1):
+            partials[j::procs] = future.result()
     per_point = len(cuts)
     return tuple(
         _estimate(spec, task, map(sum, zip(*partials[k * per_point:(k + 1) * per_point])))
@@ -406,7 +422,7 @@ def write_results(results, fmt: str = "csv") -> str:
         return "\n".join([CSV_COLUMNS, *rows]) + "\n"
     if fmt == "json":
         rows = [{name: getattr(r, attr) for name, attr in _COLUMNS} for r in results]
-        return json.dumps(rows, indent=2) + "\n"
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown results format {fmt!r}")
 
 

@@ -1,10 +1,13 @@
 import argparse
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
+import peelsim.experiment as experiment
 from peelsim import CSV_COLUMNS, serialize_graph
 from peelsim.cli import build_parser, main
 
@@ -448,6 +451,24 @@ def test_sweep_rejects_nan_c_at_load(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--c-values", "nan"])
     assert code == 2 and out == ""
     assert "every c must be positive" in err
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial reaches the worker only by fork")
+def test_sweep_reports_a_dead_worker(capsys, tmp_path, monkeypatch):
+    # A pool worker that dies, as under the OOM killer, breaks the pool; the
+    # sweep exits 2 with one line instead of a traceback, and leaves no child.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+    run_trial = experiment.run_trial
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *args: run_trial(*args) if os.getpid() == caller else os._exit(3))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", "2"])
+    assert code == 2 and out == ""
+    assert err == "peelsim sweep: a worker process died before finishing its trials\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_incomplete_flags(capsys):

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import platform
 import random
 import signal
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -306,13 +309,13 @@ def _single_point(trials):
 
 
 class _FakePool:
-    """Stands in for ProcessPoolExecutor: records its size and the ranges
-    mapped, and runs them in this process."""
+    """Stands in for ProcessPoolExecutor: records its size and the shares of
+    ranges submitted, and runs each share in this process when submitted."""
 
     def __init__(self, max_workers, initializer=None):
         self.max_workers = max_workers
         self.initializer = initializer
-        self.ranges = []
+        self.shares = []
         _FakePool.made.append(self)
 
     def __enter__(self):
@@ -321,10 +324,11 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.ranges = [(start, stop) for _, _, start, stop in tasks]
-        return map(fn, tasks)
+    def submit(self, fn, share):
+        self.shares.append([(task["point_index"], start, stop) for _, task, start, stop in share])
+        future = Future()
+        future.set_result(fn(share))
+        return future
 
 
 @pytest.fixture
@@ -332,6 +336,27 @@ def fake_pool(monkeypatch):
     _FakePool.made = []
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
     return _FakePool.made
+
+
+@pytest.fixture
+def ranges_run(monkeypatch):
+    """Every range run, in the caller or in a fake pool, as (point, start, stop)."""
+    ran = []
+    run_range = experiment._run_range
+
+    def recording_range(args):
+        _, task, start, stop = args
+        ran.append((task["point_index"], start, stop))
+        return run_range(args)
+
+    monkeypatch.setattr(experiment, "_run_range", recording_range)
+    return ran
+
+
+# A trial patched in this process reaches the pool's workers only when they
+# are forked from it.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="patched trials reach workers only by fork")
 
 
 @pytest.mark.parametrize("trials", [1, 7])
@@ -349,14 +374,25 @@ def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, trials)
     (7, 3, [(0, 2), (2, 4), (4, 7)]),
     (2, 3, [(0, 1), (1, 2)]),
 ])
-def test_pool_gets_contiguous_nonempty_ranges(monkeypatch, fake_pool, trials, workers, ranges):
+def test_pool_gets_contiguous_nonempty_ranges(monkeypatch, fake_pool, ranges_run,
+                                              trials, workers, ranges):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
     expected = write_results(run_sweep(_single_point(trials)), "csv")
+    ranges_run.clear()
+    heap = []
+    monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: heap.append("caller"))
     assert write_results(run_sweep(_single_point(trials), workers=workers), "csv") == expected
     (pool,) = fake_pool
-    assert pool.ranges == ranges
-    assert pool.max_workers == len(ranges)
+    # One process per range, the caller among them: one worker fewer.
+    assert pool.max_workers == len(ranges) - 1
     assert pool.initializer is experiment._keep_heap_resident
+    assert heap == ["caller"]
+    # Every range is cut as before and runs once: the caller runs the
+    # first, and each pool worker gets one task holding one other range.
+    ranges = [(0, *cut) for cut in ranges]
+    assert sorted(ranges_run) == ranges and len(ranges_run) == len(ranges)
+    assert pool.shares == [[cut] for cut in ranges[1:]]
+    assert ranges_run[-1] == ranges[0]
 
 
 def test_one_trial_per_point_starts_no_pool(monkeypatch, fake_pool):
@@ -365,16 +401,59 @@ def test_one_trial_per_point_starts_no_pool(monkeypatch, fake_pool):
     assert fake_pool == []
 
 
-def test_pool_size_is_capped_by_cpus_and_ranges(monkeypatch, fake_pool):
+def test_pool_size_is_capped_by_cpus_and_ranges(monkeypatch, fake_pool, ranges_run):
     # Under fork the real executor starts every max_workers process at once,
     # so a huge worker count is only ever handed to the fake.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
     run_sweep(SMALL_SWEEP, workers=5000)
-    assert fake_pool[-1].max_workers == 3
-    assert len(fake_pool[-1].ranges) == 4 * 3
+    (pool,) = fake_pool
+    assert pool.max_workers == 3 - 1
+    # Each of the 4 points is cut three ways, and process j runs cut j of
+    # every point; every range runs exactly once.
+    cuts = [(0, 21), (21, 42), (42, 64)]
+    ranges = [(k, *cut) for k in range(4) for cut in cuts]
+    assert sorted(ranges_run) == ranges and len(ranges_run) == len(ranges)
+    assert pool.shares == [ranges[1::3], ranges[2::3]]
+    assert ranges_run[-4:] == ranges[0::3]
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
     run_sweep(SMALL_SWEEP, workers=5000)
     assert len(fake_pool) == 1  # one CPU: the sweep ran in this process
+
+
+@needs_fork
+def test_two_process_sweep_runs_trials_in_the_caller_and_one_child(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    pids = tmp_path / "pids"
+
+    def recording_trial(*args):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_trial(*args)
+
+    spec = _single_point(8)
+    expected = write_results(run_sweep(spec), "csv")
+    monkeypatch.setattr(experiment, "run_trial", recording_trial)
+    assert write_results(run_sweep(spec, workers=2), "csv") == expected
+    ran_in = pids.read_text().split()
+    assert len(ran_in) == 8
+    assert len(set(ran_in)) == 2 and str(os.getpid()) in ran_in
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_error_in_the_callers_share_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def failing_trial(*args):
+        if os.getpid() == caller:
+            raise RuntimeError("trial failed in the caller")
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", failing_trial)
+    with pytest.raises(RuntimeError, match="trial failed in the caller"):
+        run_sweep(_single_point(8), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
@@ -539,6 +618,14 @@ def test_writer_rejects_unknown_format():
         write_results([], "xml")
 
 
+def test_json_writer_rejects_non_finite_floats():
+    # Strict JSON has no Infinity or NaN; the spec keeps them out of the
+    # results, and the writer refuses any that get there.
+    (point,) = run_sweep(_single_point(2))
+    with pytest.raises(ValueError):
+        write_results([dataclasses.replace(point, c_or_p=math.inf)], "json")
+
+
 # ---------------------------------------------------------------- spec files
 
 KV_SPEC = """
@@ -654,9 +741,13 @@ def test_spec_built_in_python_takes_numpy_integers():
 @pytest.mark.parametrize("text", [
     json.dumps({**JSON_SPEC, "c_values": "nan"}),
     "mode = SINGLE_POINT\nn_values = 8\nr = 1\nt = 1\nc_values = nan\ntrials_per_point = 4\n",
+    json.dumps({**JSON_SPEC, "c_values": "1.0, inf"}),
+    json.dumps({**JSON_SPEC, "c_values": [1.0, 2.0]}).replace("2.0", "1e400"),
+    "mode = SINGLE_POINT\nn_values = 8\nr = 1\nt = 1\nc_values = inf\ntrials_per_point = 4\n",
+    "mode = SINGLE_POINT\nn_values = 8\nr = 1\nt = 1\nc_values = 1e400\ntrials_per_point = 4\n",
 ])
 def test_load_spec_rejects_nan_c(text):
-    with pytest.raises(ValueError, match="c must be positive"):
+    with pytest.raises(ValueError, match="every c must be positive and finite"):
         load_spec(text)
 
 
