@@ -352,9 +352,10 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     ranges, one per process (fewer when a point has fewer trials), and the
     ranges, point-major, are dealt out so that process j runs
     ranges[j::procs], which is cut j of every point when each point has
-    procs cuts.  The calling process hands the
-    other shares to the pool, runs its own, and only then waits on the
-    pool.  Each range returns integer partial sums (see _run_range), which
+    procs cuts.  The calling process hands the other shares to the pool and
+    runs its own; after each of its ranges it raises the error of any
+    worker share that has failed, and once its share is done it waits on
+    the pool.  Each range returns integer partial sums (see _run_range), which
     are put back in range order and added per point.  Integer sums do not
     depend on how the trials were cut or who ran them, so the result is
     the same at any worker count.  With one process, run_trial is called
@@ -379,7 +380,13 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     with pool:
         futures = [pool.submit(_run_share, ranges[j::procs]) for j in range(1, procs)]
         _keep_heap_resident()
-        partials[0::procs] = _run_share(ranges[0::procs])
+        for k in range(0, len(ranges), procs):
+            partials[k] = _run_range(ranges[k])
+            # A worker that died or raised fails the sweep now, not after
+            # the rest of this process's share.
+            for future in futures:
+                if future.done():
+                    future.result()
         for j, future in enumerate(futures, start=1):
             partials[j::procs] = future.result()
     per_point = len(cuts)

@@ -16,8 +16,10 @@ level k-1.  A left vertex surviving level r is precisely a vertex the
 decoder leaves uncorrected, and the survival levels give the layer
 thresholds from which a valid witness is assembled.
 
-Every search runs over one side-tagged adjacency, ("L", i) for left and
-("R", j) for right vertices, so no search branches on the side.
+Every search runs over one adjacency on plain integer vertex ids: left
+vertex i is i and right vertex j is n_left + j, an exact Python int at any
+graph size, so a vertex is on the left exactly when its id is below
+n_left.
 """
 
 from __future__ import annotations
@@ -79,38 +81,49 @@ def verify_config(g: BipartiteGraph, cfg: UndecodableConfig, r: int, t: int) -> 
         if not g.has_edge(i, j):
             return False
 
-    adj = _adjacency(cfg.edges)
-    dist = _bfs_dist(adj, ("L", cfg.root))
+    adj = _adjacency(cfg.edges, g.n_left)
+    dist = _bfs_dist(adj, cfg.root)
     # Coverage: every configuration vertex within walk distance r of the root.
     if any(v not in dist or dist[v] > r for v in adj):
         return False
     # Layers must be the exact walk-reachability sets.
-    if tuple(cfg.layers) != _layers(dist, r):
+    if tuple(cfg.layers) != _layers(dist, r, g.n_left):
         return False
     # Degree floor everywhere except the deepest layer.
     return all(d >= r or len(adj.get(v, ())) > t for v, d in dist.items())
 
 
-def _adjacency(edges):
-    """Side-tagged adjacency of (left, right) edges; only vertices with an
-    edge appear as keys."""
-    adj: dict[tuple[str, int], set[tuple[str, int]]] = {}
+def _adjacency(edges, n_left):
+    """Neighbor lists of (left, right) edges over vertex ids (left i is i,
+    right j is n_left + j); only vertices with an edge appear as keys.
+    Each list keeps the order of edges, so g.edges(), sorted by (left,
+    right), gives every list in ascending order."""
+    adj: dict[int, list[int]] = {}
     for i, j in edges:
-        adj.setdefault(("L", i), set()).add(("R", j))
-        adj.setdefault(("R", j), set()).add(("L", i))
+        j += n_left
+        if i in adj:
+            adj[i].append(j)
+        else:
+            adj[i] = [j]
+        if j in adj:
+            adj[j].append(i)
+        else:
+            adj[j] = [i]
     return adj
 
 
-def _edge(x, y):
-    # Two tagged endpoints of one edge, as its (left, right) pair.
-    return (x[1], y[1]) if x[0] == "L" else (y[1], x[1])
+def _edge(x, y, n_left):
+    # The ids of one edge's two endpoints, as its (left, right) pair.
+    return (x, y - n_left) if x < n_left else (y, x - n_left)
 
 
-def _layers(dist, r):
+def _layers(dist, r, n_left):
     # N_depth holds every vertex at distance d <= depth with depth - d even.
-    # From a left root the parity of d already fixes the side.
+    # From a left root the parity of d fixes the side: odd layers hold
+    # right vertices, whose index is the id less n_left.
     return tuple(
-        frozenset(x for (_, x), d in dist.items() if d <= depth and (depth - d) % 2 == 0)
+        frozenset(x - (n_left if depth % 2 else 0) for x, d in dist.items()
+                  if d <= depth and (depth - d) % 2 == 0)
         for depth in range(r + 1)
     )
 
@@ -128,14 +141,16 @@ def _bfs_dist(adj, root):
 
 
 def _survival_sets(adj, r: int, t: int):
-    """Survival levels 0..r as tagged vertex sets.
+    """Survival levels 0..r as vertex id sets.
 
     Level 0 is every vertex; a vertex survives level k when >= t+1 of its
-    neighbors survive level k-1.  Levels shrink as k grows."""
-    alive = set(adj)
-    levels = [None]  # level 0 is implicit: everything survives
-    for _ in range(r):
-        alive = {x for x, nbrs in adj.items() if len(nbrs & alive) > t}
+    neighbors survive level k-1.  Levels shrink as k grows, so level 1 is
+    read off the degrees and each later level is taken from the survivors
+    of the one before: a vertex outside level k-1 is outside level k."""
+    alive = {x for x, nbrs in adj.items() if len(nbrs) > t}
+    levels = [None, alive]  # level 0 is implicit: everything survives
+    for _ in range(r - 1):
+        alive = {x for x in alive if len(alive.intersection(adj[x])) > t}
         levels.append(alive)
     return levels
 
@@ -149,13 +164,14 @@ def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
     """
     r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
     t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
-    adj = _adjacency(g.edges())
+    n_left = g.n_left
+    adj = _adjacency(g.edges(), n_left)
     levels = _survival_sets(adj, r, t)
-    roots = [x for x in levels[r] if x[0] == "L"]
-    return _build_config(adj, min(roots), r, levels) if roots else None
+    roots = [x for x in levels[r] if x < n_left]
+    return _build_config(adj, min(roots), r, levels, n_left) if roots else None
 
 
-def _build_config(adj, root, r, levels) -> UndecodableConfig:
+def _build_config(adj, root, r, levels, n_left) -> UndecodableConfig:
     # Attach each vertex's edges once, on first reach at depth d: all
     # neighbors surviving level r-d-1 join the next layer.  Filtering by the
     # first-reach depth (the deepest applicable threshold) keeps every
@@ -173,11 +189,11 @@ def _build_config(adj, root, r, levels) -> UndecodableConfig:
         for y in adj.get(x, ()):
             if allowed is not None and y not in allowed:
                 continue
-            edges.add(_edge(x, y))
+            edges.add(_edge(x, y, n_left))
             if y not in dist:
                 dist[y] = d + 1
                 q.append(y)
-    return UndecodableConfig(root[1], _layers(dist, r), frozenset(edges))
+    return UndecodableConfig(root, _layers(dist, r, n_left), frozenset(edges))
 
 
 def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig | None:
@@ -191,9 +207,10 @@ def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig
         return None
     # With no rounds every nonempty pattern fails, and the witness is the
     # bare root: _build_config attaches no edges at r = 0.
-    root = ("L", int(outcome.residual.u.min()))
-    adj = _adjacency(g.edges())
-    cfg = _build_config(adj, root, params.rounds, _survival_sets(adj, params.rounds, params.t))
+    root = int(outcome.residual.u.min())
+    adj = _adjacency(g.edges(), g.n_left)
+    levels = _survival_sets(adj, params.rounds, params.t)
+    cfg = _build_config(adj, root, params.rounds, levels, g.n_left)
     if not verify_config(g, cfg, params.rounds, params.t):
         raise RuntimeError("extracted configuration failed verification; this is a bug")
     return cfg
@@ -214,21 +231,26 @@ def count_exact_trees(g: BipartiteGraph, r: int, t: int) -> int:
     """
     r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
     t = _integer(t, 1, "t must be an integer >= 1, got {!r}")
-    adj = _adjacency(g.edges())
+    n_left = g.n_left
+    adj = _adjacency(g.edges(), n_left)
     return sum(
         _count_placements(deque([(x, 0)]), adj, {x}, r, t)
         for x, nbrs in adj.items()
-        if x[0] == "L" and len(nbrs) > t
+        if x < n_left and len(nbrs) > t
     )
 
 
 def _count_placements(pending, adj, used, r, t):
     # Children are chosen as unordered sets at each node, so every distinct
-    # image subgraph is produced by exactly one choice sequence.
+    # image subgraph is produced by exactly one choice sequence.  A child
+    # above depth r needs t children of its own besides its parent, so a
+    # neighbor of degree <= t is tried only as a leaf: every choice holding
+    # it as an inner vertex would count 0.
     if not pending:
         return 1
     x, depth = pending.popleft()
-    cands = [y for y in adj.get(x, ()) if y not in used]
+    leaf = depth + 1 == r
+    cands = [y for y in adj[x] if y not in used and (leaf or len(adj[y]) > t)]
     count = 0
     for combo in combinations(cands, t + 1 if depth == 0 else t):
         used.update(combo)
@@ -261,20 +283,20 @@ def find_short_cycle(g: BipartiteGraph, max_len: int):
     starts = _cyclic_left_vertices(g)
     if not starts:
         return None
-    adj = _adjacency(g.edges())
+    adj = _adjacency(g.edges(), g.n_left)
     depth_cap = max_len // 2 - 1
     for start in starts:
-        cycle = _bfs_cycle(adj, ("L", start), depth_cap)
+        cycle = _bfs_cycle(adj, start, depth_cap, g.n_left)
         if cycle is not None and len(cycle) <= max_len:
             return cycle
     return None
 
 
 def _cyclic_left_vertices(g):
-    # Union-find over g's edges, keyed by vertex id (left i is i, right j is
-    # n_left + j) in a dict, so it costs O(edges) and no n-length array.  An
-    # edge whose ends are already joined closes a cycle in their component.
-    # A vertex missing from parent is a root.
+    # Union-find over g's edges, keyed by vertex id in a dict, so it costs
+    # O(edges) and no n-length array.  An edge whose ends are already joined
+    # closes a cycle in their component.  A vertex missing from parent is a
+    # root.
     parent: dict[int, int] = {}
 
     def find(x):
@@ -286,8 +308,12 @@ def _cyclic_left_vertices(g):
         return x
 
     closers = []
-    for i, j in zip(g.u.tolist(), (g.v + g.n_left).tolist()):
-        a, b = find(i), find(j)
+    n_left = g.n_left
+    for i, j in g.edges():
+        j += n_left
+        # Most ends are still roots, found without the call.
+        a = find(i) if i in parent else i
+        b = find(j) if j in parent else j
         if a == b:
             closers.append(a)
         else:
@@ -298,7 +324,9 @@ def _cyclic_left_vertices(g):
     return sorted(x for x in set(g.u.tolist()) if find(x) in cyclic)
 
 
-def _bfs_cycle(adj, root, depth_cap):
+def _bfs_cycle(adj, root, depth_cap, n_left):
+    # Neighbors are visited in ascending id order (see _adjacency), which
+    # fixes the cycle returned.
     dist = {root: 0}
     parent = {root: None}
     q = deque([root])
@@ -306,18 +334,18 @@ def _bfs_cycle(adj, root, depth_cap):
         x = q.popleft()
         if dist[x] > depth_cap:
             continue
-        for y in sorted(adj[x]):
+        for y in adj[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 parent[y] = x
                 q.append(y)
             elif parent[x] != y and parent.get(y) != x:
                 # Non-tree edge (x, y): climb both parent chains to the fork.
-                return _close_cycle(parent, dist, x, y)
+                return _close_cycle(parent, dist, x, y, n_left)
     return None
 
 
-def _close_cycle(parent, dist, x, y):
+def _close_cycle(parent, dist, x, y, n_left):
     px, py = [x], [y]
     a, b = x, y
     while dist[a] > dist[b]:
@@ -333,7 +361,7 @@ def _close_cycle(parent, dist, x, y):
         py.append(b)
     # px ends at the fork; py likewise.  Cycle: fork -> ... -> x -> y -> ... -> fork.
     seq = px[::-1] + py[:-1]
-    return tuple(_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1]))
+    return tuple(_edge(a, b, n_left) for a, b in zip(seq, seq[1:] + seq[:1]))
 
 
 def serialize_config(cfg: UndecodableConfig, n_left: int, n_right: int) -> str:

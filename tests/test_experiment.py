@@ -7,7 +7,9 @@ import os
 import platform
 import random
 import signal
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -453,6 +455,38 @@ def test_error_in_the_callers_share_leaves_no_child(monkeypatch):
     monkeypatch.setattr(experiment, "run_trial", failing_trial)
     with pytest.raises(RuntimeError, match="trial failed in the caller"):
         run_sweep(_single_point(8), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
+    # The worker dies at its first trial, as under the OOM killer, while
+    # each of the caller's trials waits for that death and then takes a
+    # while: checked only after the caller's whole share, the sweep would
+    # run all six of the caller's ranges before it failed.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+    died = tmp_path / "died"
+    ran = []
+
+    def trial(*args):
+        if os.getpid() != caller:
+            died.touch()
+            os._exit(3)
+        for _ in range(600):  # the worker dies within 30 s, or the test fails
+            if died.exists():
+                break
+            time.sleep(0.05)
+        time.sleep(0.3)
+        ran.append(args[-1])
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+    spec = dataclasses.replace(SMALL_SWEEP, n_values=(8, 16, 24), trials_per_point=2)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(spec, workers=2)
+    assert died.exists()
+    assert 1 <= len(ran) < 6
     assert multiprocessing.active_children() == []
 
 

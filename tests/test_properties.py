@@ -1,5 +1,6 @@
-"""Property checks with hypothesis: the decoders against the independent
-reference peeler, and the text formats against their parsers.
+"""Property checks with hypothesis: the decoders and the witness searches
+against the independent reference peeler and subset enumeration, and the
+text formats against their parsers.
 
 Every test runs derandomized and without an example database, so the
 examples are the same on each run and no failure is replayed from disk.
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from peelsim import (
     DecodeParams,
     ErasureGrid,
+    count_exact_trees,
     decode,
     decode_fixpoint,
+    find_config,
     from_grid,
     parse_graph,
     parse_grid,
@@ -23,7 +26,7 @@ from peelsim import (
 )
 from peelsim.decode import COLS, ROWS
 
-from helpers import ref_decode
+from helpers import naive_tree_count, ref_decode
 
 fixed = settings(derandomize=True, database=None, deadline=None)
 
@@ -80,6 +83,23 @@ def test_fixpoint_matches_reference(t, g):
     # The run ends once the graph is empty or after a whole idle pair.
     assert fix.success or (steps % 2 == 0 and steps >= 2 and removed[steps - 2:steps] == [0, 0])
     assert fix.rounds_executed == max((k for k, m in enumerate(removed, start=1) if m), default=0)
+
+
+@capabilities
+@per_capability
+@given(graphs(), st.integers(1, 6))
+def test_find_config_exists_exactly_when_decoding_fails(t, g, rounds):
+    # Deeper than the acceptance check's r <= 3: every survival level from
+    # 2 up is taken from the survivors of the level before.
+    ok, *_ = ref_decode(g, rounds, t)
+    assert (find_config(g, rounds, t) is None) == ok
+
+
+@pytest.mark.parametrize("t", range(1, 4))
+@per_capability
+@given(graphs(max_side=4), st.integers(1, 2))
+def test_tree_count_matches_subset_enumeration(t, g, r):
+    assert count_exact_trees(g, r, t) == naive_tree_count(g, r, t)
 
 
 @fixed

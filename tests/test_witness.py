@@ -418,6 +418,35 @@ def test_searches_stay_linear_in_edges():
     assert cfg == find_config(K22, 2, 1)
 
 
+def test_searches_take_vertex_ids_past_int64():
+    # Sides that sum past 2**63: a right vertex's id, n_left + j, is exact
+    # only as a Python int, and an int64 sum would wrap it below n_left,
+    # where it reads as a left vertex.  A 4-cycle and a 4-edge path at the
+    # top indices must give what the same shapes give at the lowest ones.
+    n = 2**62 + 8
+    small = BipartiteGraph(4, 5, [*K22.edges(), (2, 2), (2, 3), (3, 3), (3, 4)])
+    di, dj = n - small.n_left, n - small.n_right
+    big = BipartiteGraph(n, n, [(i + di, j + dj) for i, j in small.edges()])
+
+    def lift(cfg):
+        layers = tuple(frozenset(x + (dj if depth % 2 else di) for x in layer)
+                       for depth, layer in enumerate(cfg.layers))
+        return UndecodableConfig(cfg.root + di, layers,
+                                 frozenset((i + di, j + dj) for i, j in cfg.edges))
+
+    for max_len in (4, 6):
+        cycle = find_short_cycle(big, max_len)
+        assert cycle == tuple((i + di, j + dj) for i, j in find_short_cycle(small, max_len))
+        assert_valid_cycle(big, cycle, max_len)
+    assert count_exact_trees(big, 1, 1) == count_exact_trees(small, 1, 1) == 4
+    assert find_config(big, 1, 2) is find_config(small, 1, 2) is None
+    for r in (1, 2, 3):
+        cfg = find_config(small, r, 1)
+        assert find_config(big, r, 1) == lift(cfg)
+        assert verify_config(big, lift(cfg), r, 1)
+        assert verify_config(big, lift(cfg), r, 2) == verify_config(small, cfg, r, 2)
+
+
 # ----------------------------------------------------------------- serialization
 
 def test_serialize_config_k22():
