@@ -14,7 +14,9 @@ One loop, ``_MaskEngine.peel``, runs the rounds of ``decode``,
 ``decode_fixpoint`` and ``experiment.run_trial``.  Once the graph is empty,
 or the last two rounds (one per side) removed nothing, the state is a
 fixpoint and the loop stops; ``decode`` fills the rest of its schedule with
-the shared no-op records.
+the shared no-op records.  The engine holds only the live edges: after a
+round removes edges, its edge arrays shrink to the survivors, so a round
+costs one n-length degree count plus work in the edges still live.
 """
 
 from __future__ import annotations
@@ -116,21 +118,25 @@ def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
 
 
 class _MaskEngine:
-    """Peeling over the parallel edge arrays: a live-edge mask plus its
-    running count.  Each round bincounts the live ends on its side, so
-    clearing follows the degrees seen at the start of the round.
+    """Peeling over the live edges alone: ``u`` and ``v`` start as the
+    graph's edge arrays and, after each round that removes edges, become
+    the survivors, still in lexicographic order.  A round costs one
+    n-length ``bincount`` of its side's live ends plus work in the live
+    edges, so rounds after the first bulk removal are cheap.  A round in
+    which every vertex on its side holds more than t live edges is idle
+    and stops after the ``bincount`` and its minimum (see ``_clear``).
 
-    The mask is None until the first removal, so a first round bincounts
-    the edge arrays without a gather.  ``rounds`` counts every round run,
-    no-ops included, and ``last_removal`` is the number of the last round
-    that removed an edge (0 before any removal).  ``peel`` is the only
-    round loop; it stops at a fixpoint, read off these two counts.
+    ``rounds`` counts every round run, no-ops included, and
+    ``last_removal`` is the number of the last round that removed an edge
+    (0 before any removal).  ``peel`` is the only round loop; it stops at a
+    fixpoint, read off these two counts.
     """
 
     def __init__(self, g: BipartiteGraph, t: int):
         self.g = g
         self.t = t
-        self.alive = None
+        self.u = g.u
+        self.v = g.v
         self.live_edges = g.edge_count
         self.rounds = 0
         self.last_removal = 0
@@ -150,31 +156,36 @@ class _MaskEngine:
         # One round on side.  Its arrays die on return, which keeps a trial's
         # peak heap down; a trace keeps only the cleared ids.
         self.rounds += 1
-        g = self.g
-        ends, n = (g.u, g.n_left) if side == ROWS else (g.v, g.n_right)
-        # minlength=n: qualifies[ends] below also reads the ends of dead edges.
-        deg = np.bincount(ends if self.alive is None else ends[self.alive], minlength=n)
-        # Vertices of degree 0 qualify too; they have no live edge to remove.
-        qualifies = deg <= self.t
+        live, t = self.live_edges, self.t
+        ends, n = (self.u, self.g.n_left) if side == ROWS else (self.v, self.g.n_right)
+        # The n-length pass that every round makes.  Degree-0 vertices
+        # qualify too; they have no edge to remove.
+        deg = np.bincount(ends, minlength=n)
         removed = 0
-        if qualifies.any():
-            kill = qualifies[ends]
-            if self.alive is not None:
-                kill &= self.alive
-            removed = int(np.count_nonzero(kill))
+        # Idle test: when every vertex is over capability the round removes
+        # nothing, so the gather over the live ends is skipped.  With fewer
+        # live ends than vertices some vertex has degree 0 <= t and the
+        # round is not idle, so the first clause is no size switch: it only
+        # keeps the n-length min off sparse rounds.
+        if not (live >= n and deg.min() > t):
+            keep = deg[ends] > t
+            removed = live - int(np.count_nonzero(keep))
             if removed:
-                if self.alive is None:
-                    self.alive = np.logical_not(kill, out=kill)
+                if removed == live:
+                    # Fresh arrays: a zero-length view would keep g's
+                    # buffers alive through the residual.
+                    self.u, self.v = np.empty(0, np.int64), np.empty(0, np.int64)
                 else:
-                    self.alive ^= kill
-                self.live_edges -= removed
+                    self.u, self.v = self.u[keep], self.v[keep]
+                self.live_edges = live - removed
                 self.last_removal = self.rounds
         if trace is not None:
-            trace.append(RoundRecord(side, tuple((qualifies & (deg > 0)).nonzero()[0].tolist()), removed)
+            trace.append(RoundRecord(side, tuple(((deg <= t) & (deg > 0)).nonzero()[0].tolist()), removed)
                          if removed else _IDLE[side])
 
     def residual(self) -> BipartiteGraph:
-        """The live edges; g itself when the rounds removed nothing."""
-        if self.alive is None:
+        """The live edges; g itself when the rounds removed nothing.  The
+        engine's arrays are selections from g's, so they are still sorted."""
+        if not self.last_removal:
             return self.g
-        return self.g._masked(self.alive)
+        return BipartiteGraph._from_sorted(self.g.n_left, self.g.n_right, self.u, self.v)

@@ -217,16 +217,20 @@ def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     The last scheduled round decodes rows, so for odd r the schedule starts
     with rows, as the fixpoint run does, and is exactly that run's first r
     rounds: one engine serves both, read after round r and again at the
-    fixpoint.  For even r (or 0) the schedule starts with columns and runs
-    on an engine of its own.  Either run stops at its fixpoint, since later
-    rounds are no-ops, so a huge r costs no more than the fixpoint.
+    fixpoint.  For even r (or 0) the schedule starts with columns, and the
+    fixpoint run takes an engine of its own once a round has removed an
+    edge.  If none has, it reuses the engine: either no round ran, so the
+    engine is still fresh, or both sides came up idle on the untouched
+    pattern, which is then a fixpoint under every schedule.  Either run
+    stops at its fixpoint, since later rounds are no-ops, so a huge r
+    costs no more than the fixpoint.
     """
     g = sample_bipartite(n, n, p, seed)
     run = _MaskEngine(g, params.t)
     first = _first_side(params.rounds)
     run.peel(first, params.rounds)
     residual_edges = run.live_edges
-    if first != ROWS:
+    if first != ROWS and run.last_removal:
         run = _MaskEngine(g, params.t)
     run.peel(ROWS)
     return TrialRecord(

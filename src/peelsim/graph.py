@@ -100,10 +100,6 @@ class BipartiteGraph:
         """Iterate edges as (left, right) int pairs in canonical order."""
         return zip(self.u.tolist(), self.v.tolist())
 
-    def _masked(self, keep: np.ndarray) -> "BipartiteGraph":
-        # Subgraph on the same vertex sets; mask preserves lexicographic order.
-        return BipartiteGraph._from_sorted(self.n_left, self.n_right, self.u[keep], self.v[keep])
-
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
             return NotImplemented

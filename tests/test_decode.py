@@ -12,7 +12,7 @@ from peelsim import (
     decode,
     decode_fixpoint,
 )
-from peelsim.decode import COLS, ROWS
+from peelsim.decode import COLS, ROWS, _first_side, _MaskEngine
 
 from helpers import (
     complete_graph,
@@ -259,6 +259,56 @@ def test_fixpoint_stops_after_an_idle_pair_or_when_empty():
                 live -= removed[stop]
                 stop += 1
             assert len(fix.trace) == stop
+
+
+# ------------------------------------------------------------------- engine
+
+def _owner(a):
+    # The array that holds a's buffer.
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_engine_arrays_are_the_live_edges_in_order():
+    compacted = 0
+    for t in (1, 2):
+        for g in corpus(100, seed=61, max_side=7) + [mid_size_graph(t, 61)]:
+            for rounds in range(1, 6):
+                run = _MaskEngine(g, t)
+                run.peel(_first_side(rounds), rounds)
+                u, v = run.u, run.v
+                assert len(u) == len(v) == run.live_edges
+                assert np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1])))
+                assert frozenset(zip(u.tolist(), v.tolist())) == ref_decode(g, rounds, t)[1]
+                compacted += 0 < run.live_edges < g.edge_count
+    assert compacted > 100
+
+
+def test_emptied_engine_lets_go_of_the_pattern():
+    # The columns round clears every leaf of the star at once.
+    g = star_graph(2)
+    out = decode(g, DecodeParams(rounds=2, t=2))
+    assert out.success and out.residual.edge_count == 0
+    for mine, theirs in ((out.residual.u, g.u), (out.residual.v, g.v)):
+        assert not np.shares_memory(mine, theirs)
+        # A zero-length view shares no bytes, but would still hold g's buffer.
+        assert _owner(mine) is not _owner(theirs)
+
+
+@pytest.mark.parametrize("g, t", [
+    (EMPTY, 1),
+    (K22, 1),
+    (BipartiteGraph(5, 5, [(0, 0), (1, 1), (1, 2)]), 0),  # sparse: every round gathers
+    (complete_graph(6, 6), 2),  # dense: the idle test fires on both sides
+    # K22 beside an isolated row and column: degree 0 fails the idle test,
+    # and the gather removes nothing.
+    (BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]), 1),
+])
+def test_residual_is_the_pattern_when_nothing_was_removed(g, t):
+    for rounds in range(5):
+        assert decode(g, DecodeParams(rounds=rounds, t=t)).residual is g
+    assert decode_fixpoint(g, t).residual is g
 
 
 # ---------------------------------------------------------------- properties

@@ -1,10 +1,12 @@
-"""Property checks with hypothesis: the decoders and the witness searches
-against the independent reference peeler and subset enumeration, and the
-text formats against their parsers.
+"""Property checks with hypothesis: the decoders, the Monte Carlo trial and
+the witness searches against the independent reference peeler and subset
+enumeration, and the text formats against their parsers.
 
 Every test runs derandomized and without an example database, so the
 examples are the same on each run and no failure is replayed from disk.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peelsim import (
+    BipartiteGraph,
     DecodeParams,
     ErasureGrid,
     count_exact_trees,
@@ -24,9 +27,10 @@ from peelsim import (
     serialize_graph,
     write_grid,
 )
+from peelsim import experiment
 from peelsim.decode import COLS, ROWS
 
-from helpers import naive_tree_count, ref_decode
+from helpers import complete_graph, naive_tree_count, ref_decode
 
 fixed = settings(derandomize=True, database=None, deadline=None)
 
@@ -83,6 +87,43 @@ def test_fixpoint_matches_reference(t, g):
     # The run ends once the graph is empty or after a whole idle pair.
     assert fix.success or (steps % 2 == 0 and steps >= 2 and removed[steps - 2:steps] == [0, 0])
     assert fix.rounds_executed == max((k for k, m in enumerate(removed, start=1) if m), default=0)
+
+
+def check_trial(g, rounds, t):
+    # run_trial on g itself, against the public decoders and the reference.
+    params = DecodeParams(rounds=rounds, t=t)
+    with mock.patch.object(experiment, "sample_bipartite", lambda *args: g):
+        rec = experiment.run_trial(g.n_left, 0.5, params, 0)
+    limited = decode(g, params)
+    fix = decode_fixpoint(g, t)
+    ok, residual, _, _ = ref_decode(g, rounds, t)
+    # Each removing round takes an edge, and two idle rounds end the run.
+    _, _, _, removed = ref_decode(g, 2 * g.edge_count + 3, t)
+    assert rec.success == limited.success == ok
+    assert rec.residual_edges == limited.residual.edge_count == len(residual)
+    assert rec.one_round_success == (fix.success and fix.rounds_executed <= 1) == ref_decode(g, 1, t)[0]
+    assert rec.fixpoint_rounds == fix.rounds_executed == max(
+        (k for k, m in enumerate(removed, start=1) if m), default=0)
+
+
+@capabilities
+@per_capability
+@given(graphs(), st.integers(0, 8))
+def test_trial_matches_the_decoders_and_reference(t, g, rounds):
+    check_trial(g, rounds, t)
+
+
+# K_{4,4} at t = 1 never peels, so at even r the fixpoint run reuses the
+# engine.  THIN_ROW has columns of degree 3 and 2 and a row of degree 1:
+# at even r the columns round is idle and the rows round removes, so the
+# fixpoint run needs a fresh engine.
+THIN_ROW = BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)])
+
+
+@pytest.mark.parametrize("g", [complete_graph(4, 4), THIN_ROW], ids=["k44", "thin_row"])
+@pytest.mark.parametrize("rounds", [0, 2, 4])
+def test_trial_reuses_the_engine_only_when_nothing_was_removed(g, rounds):
+    check_trial(g, rounds, 1)
 
 
 @capabilities
