@@ -3,10 +3,12 @@ Why a pattern refuses to decode
 ===============================
 
 Decode failure is never mysterious: it happens exactly when the erasure
-graph contains a layered configuration whose inner vertices are all too
-busy to peel.  This script builds the smallest stuck pattern by hand,
-extracts its witness, and then hunts for witnesses in random graphs to
-show the equivalence holding trial after trial.
+graph holds a levelled certificate, a set of edges whose vertices each
+carry a level, the root at level r, where every vertex of level k >= 1
+keeps more than t edges to vertices of level k - 1 or more, too many to
+peel in k rounds.  This script builds the smallest stuck pattern by hand,
+extracts its certificate, and then hunts for certificates in random graphs
+to show the equivalence holding trial after trial.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ config = extract_config(block, DecodeParams(rounds=r, t=t))
 print(f"witness root: row {config.root}")
 for depth, layer in enumerate(config.layers):
     side = "rows" if depth % 2 == 0 else "cols"
-    print(f"  layer {depth} ({side}): {sorted(layer)}")
+    print(f"  layer {depth} ({side}, level {r - depth}): {sorted(layer)}")
 print(f"verifies: {verify_config(block, config, r, t)}")
 print()
 print("serialized witness:")

@@ -1,20 +1,21 @@
-"""Failure witnesses: layered configurations that defeat the peeling decoder.
+"""Failure witnesses: levelled certificates that defeat the peeling decoder.
 
-A configuration with root v (a left vertex) consists of layers N_0..N_r,
-where N_i is the set of vertices reachable from v by walks of length
-exactly i inside the configuration's edge set (walks may repeat vertices,
-so even layers nest: N_0 is a subset of N_2, and so on).  It witnesses
-failure of r rounds at capability t when the layers cover every
-configuration vertex and every vertex in N_0..N_{r-1} keeps degree >= t+1
-inside the configuration.  Such a witness exists in a graph exactly when
-the r-round decoder fails on it, which makes find_config an independent
-oracle for the decoder.
+A certificate with root v (a left vertex) against r rounds at capability t
+is a set H of edges of the graph together with a level for each of its
+vertices, with v at level r.  It is valid when every vertex of level k >= 1
+has at least t+1 neighbors in H of level >= k-1.  By induction on k such a
+vertex survives level k in H, the root survives level r, and so the
+decoder fails on H and therefore on the whole graph.  The check is local:
+it needs neither the decoder nor any search.
 
-find_config works by survival induction: every vertex survives level 0,
-and a vertex survives level k when at least t+1 of its neighbors survive
-level k-1.  A left vertex surviving level r is precisely a vertex the
-decoder leaves uncorrected, and the survival levels give the layer
-thresholds from which a valid witness is assembled.
+The survival levels are the decoder's computation-tree induction: every
+vertex survives level 0, and a vertex survives level k when at least t+1
+of its neighbors survive level k-1.  A left vertex surviving level r is
+exactly a vertex the decoder leaves uncorrected, so a certificate exists
+exactly when the r-round decoder fails, which makes find_config an
+independent oracle for the decoder.  Certificates are built from these
+levels by one construction (_certificate) for find_config and
+extract_config alike.
 
 Every search runs over one adjacency on plain integer vertex ids: left
 vertex i is i and right vertex j is n_left + j, an exact Python int at any
@@ -44,9 +45,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UndecodableConfig:
-    """root: left vertex index; layers: N_0..N_r as per-side index sets
+    """A levelled certificate.  root: left vertex index; layers: layers[d]
+    holds the vertices of level r - d, each vertex in exactly one layer
     (even layers hold left indices, odd layers right indices); edges:
-    (left, right) pairs of the configuration."""
+    (left, right) pairs of the certificate."""
 
     root: int
     layers: tuple[frozenset[int], ...]
@@ -54,11 +56,13 @@ class UndecodableConfig:
 
 
 def verify_config(g: BipartiteGraph, cfg: UndecodableConfig, r: int, t: int) -> bool:
-    """Check that cfg is a valid witness against r rounds at capability t.
+    """Check that cfg is a valid certificate against r rounds at capability t.
 
-    Structural defects (wrong layer count, layers not matching exact walk
-    reachability, missing coverage, a thin vertex in layers 0..r-1, edges
-    absent from g) return False; indices outside g's ranges raise.
+    Valid means: r + 1 layers with layers[0] == {root}, no vertex in two
+    layers, both ends of every edge in some layer, every edge in g, and
+    every vertex of level k >= 1 (layer r - k) with more than t
+    certificate neighbors of level >= k - 1.  Anything else returns False;
+    indices outside g's ranges raise.  Costs O(edges of cfg).
     """
     r = _integer(r, 0, "r must be a non-negative integer, got {!r}")
     t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
@@ -75,22 +79,19 @@ def verify_config(g: BipartiteGraph, cfg: UndecodableConfig, r: int, t: int) -> 
             if not 0 <= x < bound:
                 raise ValueError(f"layer {depth} index {x} out of range [0, {bound})")
 
-    if len(cfg.layers) != r + 1:
+    if len(cfg.layers) != r + 1 or cfg.layers[0] != {cfg.root}:
         return False
+    n_left = g.n_left
+    level = {x + (n_left if depth % 2 else 0): r - depth
+             for depth, layer in enumerate(cfg.layers) for x in layer}
+    if len(level) != sum(map(len, cfg.layers)):
+        return False  # some vertex sits in two layers
     for i, j in cfg.edges:
-        if not g.has_edge(i, j):
+        if i not in level or j + n_left not in level or not g.has_edge(i, j):
             return False
-
-    adj = _adjacency(cfg.edges, g.n_left)
-    dist = _bfs_dist(adj, cfg.root)
-    # Coverage: every configuration vertex within walk distance r of the root.
-    if any(v not in dist or dist[v] > r for v in adj):
-        return False
-    # Layers must be the exact walk-reachability sets.
-    if tuple(cfg.layers) != _layers(dist, r, g.n_left):
-        return False
-    # Degree floor everywhere except the deepest layer.
-    return all(d >= r or len(adj.get(v, ())) > t for v, d in dist.items())
+    adj = _adjacency(cfg.edges, n_left)
+    return all(sum(level[y] >= k - 1 for y in adj.get(x, ())) > t
+               for x, k in level.items() if k)
 
 
 def _adjacency(edges, n_left):
@@ -117,29 +118,6 @@ def _edge(x, y, n_left):
     return (x, y - n_left) if x < n_left else (y, x - n_left)
 
 
-def _layers(dist, r, n_left):
-    # N_depth holds every vertex at distance d <= depth with depth - d even.
-    # From a left root the parity of d fixes the side: odd layers hold
-    # right vertices, whose index is the id less n_left.
-    return tuple(
-        frozenset(x - (n_left if depth % 2 else 0) for x, d in dist.items()
-                  if d <= depth and (depth - d) % 2 == 0)
-        for depth in range(r + 1)
-    )
-
-
-def _bfs_dist(adj, root):
-    dist = {root: 0}
-    q = deque([root])
-    while q:
-        x = q.popleft()
-        for y in adj.get(x, ()):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                q.append(y)
-    return dist
-
-
 def _survival_sets(adj, r: int, t: int):
     """Survival levels 0..r as vertex id sets.
 
@@ -156,64 +134,72 @@ def _survival_sets(adj, r: int, t: int):
 
 
 def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
-    """Search g for a witness against r rounds at capability t.
+    """Search g for a certificate against r rounds at capability t.
 
-    Returns a verified witness rooted at the smallest surviving left vertex,
-    or None when no witness exists (equivalently, when the decoder
-    succeeds).  Exhaustive by survival induction; meant for small graphs.
+    Returns a valid certificate rooted at the smallest left vertex that
+    survives level r, or None when there is none (equivalently, when the
+    decoder succeeds).  Exhaustive by survival induction; meant for small
+    graphs.
     """
     r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
     t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
-    n_left = g.n_left
-    adj = _adjacency(g.edges(), n_left)
-    levels = _survival_sets(adj, r, t)
-    roots = [x for x in levels[r] if x < n_left]
-    return _build_config(adj, min(roots), r, levels, n_left) if roots else None
-
-
-def _build_config(adj, root, r, levels, n_left) -> UndecodableConfig:
-    # Attach each vertex's edges once, on first reach at depth d: all
-    # neighbors surviving level r-d-1 join the next layer.  Filtering by the
-    # first-reach depth (the deepest applicable threshold) keeps every
-    # shallow vertex thick enough; re-attaching at later nested appearances
-    # would leak thin vertices into shallow layers.
-    dist = {root: 0}
-    edges = set()
-    q = deque([root])
-    while q:
-        x = q.popleft()
-        d = dist[x]
-        if d >= r:
-            continue
-        allowed = levels[r - d - 1]
-        for y in adj.get(x, ()):
-            if allowed is not None and y not in allowed:
-                continue
-            edges.add(_edge(x, y, n_left))
-            if y not in dist:
-                dist[y] = d + 1
-                q.append(y)
-    return UndecodableConfig(root, _layers(dist, r, n_left), frozenset(edges))
+    return _certificate(g, r, t, None)
 
 
 def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig | None:
-    """Decode g; on failure, extract a verified witness from the residual.
+    """Decode g; on failure, build a certificate rooted at the residual.
 
     The root is the smallest left vertex still holding edges after the last
-    round.  Returns None on decoding success.
+    round, and the certificate is find_config's construction from that
+    root.  Returns None on decoding success.  With no rounds every nonempty
+    pattern fails, and the certificate is the bare root.
     """
     outcome = decode(g, params)
     if outcome.success:
         return None
-    # With no rounds every nonempty pattern fails, and the witness is the
-    # bare root: _build_config attaches no edges at r = 0.
-    root = int(outcome.residual.u.min())
-    adj = _adjacency(g.edges(), g.n_left)
-    levels = _survival_sets(adj, params.rounds, params.t)
-    cfg = _build_config(adj, root, params.rounds, levels, g.n_left)
-    if not verify_config(g, cfg, params.rounds, params.t):
-        raise RuntimeError("extracted configuration failed verification; this is a bug")
-    return cfg
+    return _certificate(g, params.rounds, params.t, int(outcome.residual.u.min()))
+
+
+def _certificate(g, r, t, root):
+    # The root (by default the smallest left survivor of level r) is
+    # needed at level r.  Going down from k = r, each vertex needed at
+    # level k takes t+1 of its neighbors that survive level k-1: first
+    # those already needed, then the rest in ascending id order.  A taken
+    # edge joins H, and a neighbor not yet needed is needed at k-1.  Every
+    # needed vertex survives its level, so it has the t+1 neighbors, and
+    # one needed earlier sits at a level >= k-1; a vertex's level is thus
+    # fixed when it is first needed, and the vertices first needed from
+    # level k are exactly level k-1, all on one side.
+    n_left = g.n_left
+    adj = _adjacency(g.edges(), n_left)
+    levels = _survival_sets(adj, r, t)
+    if root is None:
+        roots = [x for x in levels[r] if x < n_left]
+        if not roots:
+            return None
+        root = min(roots)
+    needed = {root}
+    layers = [[root]]
+    edges = set()
+    for k in range(r, 0, -1):
+        allowed = levels[k - 1]  # None at k = 1: every vertex survives level 0
+        nxt = []
+        for x in layers[-1]:
+            nbrs = adj[x]
+            taken = [y for y in nbrs if y in needed]
+            taken += [y for y in nbrs if y not in needed and (allowed is None or y in allowed)]
+            for y in taken[:t + 1]:
+                edges.add(_edge(x, y, n_left))
+                if y not in needed:
+                    needed.add(y)
+                    nxt.append(y)
+        layers.append(nxt)
+    return UndecodableConfig(
+        root,
+        tuple(frozenset(x - n_left if depth % 2 else x for x in layer)
+              for depth, layer in enumerate(layers)),
+        frozenset(edges),
+    )
 
 
 def count_exact_trees(g: BipartiteGraph, r: int, t: int) -> int:

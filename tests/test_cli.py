@@ -180,7 +180,7 @@ def test_detect_config_present(capsys, k22_edges):
         "layers 3\n"
         "layer 0 0\n"
         "layer 1 0 1\n"
-        "layer 2 0 1\n"
+        "layer 2 1\n"
         "2 2 4\n"
         "0 0\n0 1\n1 0\n1 1\n"
     )
@@ -201,7 +201,7 @@ def test_detect_config_json(capsys, k22_edges):
     assert code == 0
     payload = json.loads(out)["config"]
     assert payload["root"] == 0
-    assert payload["layers"] == [[0], [0, 1], [0, 1]]
+    assert payload["layers"] == [[0], [0, 1], [1]]
     assert payload["edges"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 

@@ -20,11 +20,13 @@ from peelsim import (
     count_exact_trees,
     decode,
     decode_fixpoint,
+    extract_config,
     find_config,
     from_grid,
     parse_graph,
     parse_grid,
     serialize_graph,
+    verify_config,
     write_grid,
 )
 from peelsim import experiment
@@ -133,7 +135,14 @@ def test_find_config_exists_exactly_when_decoding_fails(t, g, rounds):
     # Deeper than the acceptance check's r <= 3: every survival level from
     # 2 up is taken from the survivors of the level before.
     ok, *_ = ref_decode(g, rounds, t)
-    assert (find_config(g, rounds, t) is None) == ok
+    cfg = find_config(g, rounds, t)
+    assert (cfg is None) == ok
+    if cfg is not None:
+        # The certificate passes the local check, decoding fails on its
+        # own edges, and extract_config builds the same one.
+        assert verify_config(g, cfg, rounds, t)
+        assert not ref_decode(BipartiteGraph(g.n_left, g.n_right, sorted(cfg.edges)), rounds, t)[0]
+        assert extract_config(g, DecodeParams(rounds, t)) == cfg
 
 
 @pytest.mark.parametrize("t", range(1, 4))

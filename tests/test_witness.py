@@ -28,6 +28,7 @@ from helpers import (
     naive_tree_count,
     path_graph,
     random_graph,
+    ref_decode,
     star_graph,
 )
 
@@ -35,7 +36,7 @@ K22 = complete_graph(2, 2)
 
 K22_CONFIG = UndecodableConfig(
     root=0,
-    layers=(frozenset({0}), frozenset({0, 1}), frozenset({0, 1})),
+    layers=(frozenset({0}), frozenset({0, 1}), frozenset({1})),
     edges=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
 )
 
@@ -91,12 +92,62 @@ def test_verify_rejects_edges_missing_from_host():
     assert not verify_config(g, K22_CONFIG, r=2, t=1)
 
 
-def test_verify_rejects_inexact_layers():
-    # Dropping vertex 1 from layer 2 breaks exact walk reachability.
-    bad = UndecodableConfig(
-        0, (frozenset({0}), frozenset({0, 1}), frozenset({0})), K22_CONFIG.edges
-    )
-    assert not verify_config(K22, bad, r=2, t=1)
+def exact_tree_certificate(r, t):
+    tree = build_exact_tree(r, t)
+    cfg = find_config(tree, r, t)
+    assert cfg.edges == frozenset(tree.edges())
+    assert verify_config(tree, cfg, r, t)
+    return tree, cfg
+
+
+def with_layers(cfg, layers):
+    return UndecodableConfig(cfg.root, tuple(map(frozenset, layers)), cfg.edges)
+
+
+exact_trees = pytest.mark.parametrize("r,t", [(r, t) for r in (1, 2, 3) for t in (1, 2)])
+
+
+@exact_trees
+def test_verify_rejects_any_missing_edge(r, t):
+    # Every vertex of an exact tree has exactly t+1 neighbors of the
+    # level below or above it, so no edge can go.
+    tree, cfg = exact_tree_certificate(r, t)
+    for e in cfg.edges:
+        assert not verify_config(tree, UndecodableConfig(cfg.root, cfg.layers, cfg.edges - {e}), r, t)
+
+
+@exact_trees
+def test_verify_rejects_any_raised_level(r, t):
+    # A vertex moved from layer d to layer d-2 needs t+1 neighbors one
+    # level below its new one, and only its parent is that high.
+    tree, cfg = exact_tree_certificate(r, t)
+    for depth in range(2, r + 1):
+        for x in cfg.layers[depth]:
+            layers = [set(layer) for layer in cfg.layers]
+            layers[depth].remove(x)
+            layers[depth - 2].add(x)
+            assert not verify_config(tree, with_layers(cfg, layers), r, t)
+
+
+@exact_trees
+def test_verify_rejects_a_vertex_in_two_layers_or_none(r, t):
+    tree, cfg = exact_tree_certificate(r, t)
+    for depth in range(1, r + 1):
+        x = min(cfg.layers[depth])
+        layers = [set(layer) for layer in cfg.layers]
+        layers[depth].remove(x)
+        assert not verify_config(tree, with_layers(cfg, layers), r, t)  # an edge end in no layer
+        if depth >= 2:
+            layers[depth] = set(cfg.layers[depth])
+            layers[depth - 2].add(x)
+            assert not verify_config(tree, with_layers(cfg, layers), r, t)  # in two layers
+
+
+def test_verify_rejects_a_first_layer_other_than_the_root():
+    # Left 1 at level 2 has two neighbors of level 1, so only the rule
+    # layers[0] == {root} rejects these.
+    assert not verify_config(K22, with_layers(K22_CONFIG, ({0, 1}, {0, 1}, ())), r=2, t=1)
+    assert not verify_config(K22, UndecodableConfig(1, K22_CONFIG.layers, K22_CONFIG.edges), r=2, t=1)
 
 
 def test_verify_rejects_thin_vertex():
@@ -207,6 +258,32 @@ def test_find_config_monotone_under_edge_addition():
         assert find_config(bigger, 2, 1) is not None
         checked += 1
     assert checked > 20
+
+
+# Graphs on which a certificate built from walk layers fails the local
+# check: a vertex needed deep in the decoder's computation tree also sits
+# close to the root through a cycle.  The first has no valid walk-layered
+# witness at any root or edge subset.
+NEAR_CYCLE_CASES = [
+    (5, 5, 5, 2, [(0, 0), (0, 3), (0, 4), (1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (2, 2),
+                  (3, 0), (3, 2), (3, 3), (3, 4), (4, 0), (4, 1), (4, 2)]),
+    (6, 5, 4, 2, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0),
+                  (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2), (4, 3), (4, 4), (5, 0),
+                  (5, 2), (5, 3), (5, 4)]),
+    (6, 7, 5, 3, [(0, 0), (0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
+                  (2, 0), (2, 1), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 4),
+                  (3, 6), (4, 0), (4, 1), (4, 3), (4, 4), (4, 5), (4, 6), (5, 0), (5, 1),
+                  (5, 3), (5, 4), (5, 5), (5, 6)]),
+]
+
+
+@pytest.mark.parametrize("n_left,n_right,r,t,edges", NEAR_CYCLE_CASES, ids=["5x5", "6x5", "6x7"])
+def test_certificates_verify_where_walk_layers_failed(n_left, n_right, r, t, edges):
+    g = BipartiteGraph(n_left, n_right, edges)
+    for cfg in (find_config(g, r, t), extract_config(g, DecodeParams(rounds=r, t=t))):
+        assert cfg is not None
+        assert verify_config(g, cfg, r, t)
+        assert not ref_decode(BipartiteGraph(n_left, n_right, sorted(cfg.edges)), r, t)[0]
 
 
 # ------------------------------------------------------------- extract_config
@@ -456,7 +533,7 @@ def test_serialize_config_k22():
         "layers 3\n"
         "layer 0 0\n"
         "layer 1 0 1\n"
-        "layer 2 0 1\n"
+        "layer 2 1\n"
         "2 2 4\n"
         "0 0\n"
         "0 1\n"
@@ -470,7 +547,7 @@ def test_serialize_config_k22():
 # SHA-256 of the canonical text of every search result below.  It pins
 # which witness and which cycle each search returns, not only their
 # validity, so reworking a search must return the same objects.
-WITNESS_SHA = "2cad6b57148ed8dde0d5c590c18233438712d21c598861b9410d97c2e60f5e31"
+WITNESS_SHA = "314467a5040a3677e63baea2c0c77e8aa0866f82efec8ba71c571692cd265fa7"
 
 
 def _pin_cases():
