@@ -2,7 +2,7 @@
 
 Erasure patterns are bipartite graphs (rows vs columns, edges = erased
 cells).  The package samples them, peels them round by round, certifies
-failures with layered witnesses, predicts behavior with closed forms, and
+failures with levelled certificates, predicts behavior with closed forms, and
 sweeps the whole story under a reproducible Monte Carlo harness.
 """
 

@@ -25,7 +25,7 @@ from statistics import NormalDist
 # this module: the benchmark's traced replay (perfbench/workloads.py) wraps
 # them by name.
 from .decode import ROWS, DecodeParams, _first_side, _MaskEngine, decode, decode_fixpoint  # noqa: F401
-from .graph import _integer, sample_bipartite
+from .graph import _MAX_CELLS, _integer, sample_bipartite
 from .theory import asymptotic_success, linear_regime_prediction, threshold_p
 
 __all__ = [
@@ -136,6 +136,10 @@ class ExperimentSpec:
             raise ValueError("n_values must be non-empty")
         if any(n < 2 for n in self.n_values):
             raise ValueError("every n must be >= 2")
+        # sample_bipartite would refuse such an n only at its point's first
+        # trial, after every earlier point had run.
+        if any(n * n > _MAX_CELLS for n in self.n_values):
+            raise ValueError("every n must give an n x n grid of at most 2**61 cells")
         if self.r < 0:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.trials_per_point < 1:

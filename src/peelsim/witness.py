@@ -9,13 +9,13 @@ decoder fails on H and therefore on the whole graph.  The check is local:
 it needs neither the decoder nor any search.
 
 The survival levels are the decoder's computation-tree induction: every
-vertex survives level 0, and a vertex survives level k when at least t+1
-of its neighbors survive level k-1.  A left vertex surviving level r is
-exactly a vertex the decoder leaves uncorrected, so a certificate exists
-exactly when the r-round decoder fails, which makes find_config an
-independent oracle for the decoder.  Certificates are built from these
-levels by one construction (_certificate) for find_config and
-extract_config alike.
+vertex with an edge survives level 0, and a vertex survives level k when
+at least t+1 of its neighbors survive level k-1.  A left vertex surviving
+level r is exactly a row the decoder leaves with edges after r rounds, so
+a certificate exists exactly when the r-round decoder fails, which makes
+find_config an independent oracle for the decoder.  Certificates are
+built from these levels alone, by one construction (_certificate) for
+find_config and extract_config alike; no search runs the decoder.
 
 Every search runs over one adjacency on plain integer vertex ids: left
 vertex i is i and right vertex j is n_left + j, an exact Python int at any
@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decode import DecodeParams, decode
+from .decode import DecodeParams
 from .graph import BipartiteGraph, _integer
 
 __all__ = [
@@ -121,15 +121,17 @@ def _edge(x, y, n_left):
 def _survival_sets(adj, r: int, t: int):
     """Survival levels 0..r as vertex id sets.
 
-    Level 0 is every vertex; a vertex survives level k when >= t+1 of its
-    neighbors survive level k-1.  Levels shrink as k grows, so level 1 is
-    read off the degrees and each later level is taken from the survivors
-    of the one before: a vertex outside level k-1 is outside level k."""
-    alive = {x for x, nbrs in adj.items() if len(nbrs) > t}
-    levels = [None, alive]  # level 0 is implicit: everything survives
+    Level 0 is every vertex with an edge; a vertex survives level k when
+    >= t+1 of its neighbors survive level k-1.  Levels shrink as k grows,
+    so level 1 is read off the degrees and each later level is taken from
+    the survivors of the one before: a vertex outside level k-1 is outside
+    level k."""
+    levels = [set(adj)]
+    if r:
+        levels.append({x for x, nbrs in adj.items() if len(nbrs) > t})
     for _ in range(r - 1):
-        alive = {x for x in alive if len(alive.intersection(adj[x])) > t}
-        levels.append(alive)
+        alive = levels[-1]
+        levels.append({x for x in alive if len(alive.intersection(adj[x])) > t})
     return levels
 
 
@@ -143,51 +145,47 @@ def find_config(g: BipartiteGraph, r: int, t: int) -> UndecodableConfig | None:
     """
     r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
     t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
-    return _certificate(g, r, t, None)
+    return _certificate(g, r, t)
 
 
 def extract_config(g: BipartiteGraph, params: DecodeParams) -> UndecodableConfig | None:
-    """Decode g; on failure, build a certificate rooted at the residual.
+    """The certificate of a failed decoding run, or None on success.
 
-    The root is the smallest left vertex still holding edges after the last
-    round, and the certificate is find_config's construction from that
-    root.  Returns None on decoding success.  With no rounds every nonempty
-    pattern fails, and the certificate is the bare root.
+    The root is the decoder's smallest residual row after params.rounds
+    rounds, found without decoding: the rows left with edges after round r
+    are exactly the left vertices that survive level r.  The certificate is
+    find_config's, extended to r = 0, where every nonempty pattern fails
+    and the certificate is the bare smallest row with an edge.
     """
-    outcome = decode(g, params)
-    if outcome.success:
-        return None
-    return _certificate(g, params.rounds, params.t, int(outcome.residual.u.min()))
+    return _certificate(g, params.rounds, params.t)
 
 
-def _certificate(g, r, t, root):
-    # The root (by default the smallest left survivor of level r) is
-    # needed at level r.  Going down from k = r, each vertex needed at
-    # level k takes t+1 of its neighbors that survive level k-1: first
-    # those already needed, then the rest in ascending id order.  A taken
-    # edge joins H, and a neighbor not yet needed is needed at k-1.  Every
-    # needed vertex survives its level, so it has the t+1 neighbors, and
-    # one needed earlier sits at a level >= k-1; a vertex's level is thus
-    # fixed when it is first needed, and the vertices first needed from
-    # level k are exactly level k-1, all on one side.
+def _certificate(g, r, t):
+    # The root, the smallest left survivor of level r, is needed at level
+    # r.  Going down from k = r, each vertex needed at level k takes t+1 of
+    # its neighbors that survive level k-1: first those already needed,
+    # then the rest in ascending id order.  A taken edge joins H, and a
+    # neighbor not yet needed is needed at k-1.  Every needed vertex
+    # survives its level, so it has the t+1 neighbors, and one needed
+    # earlier sits at a level >= k-1; a vertex's level is thus fixed when
+    # it is first needed, and the vertices first needed from level k are
+    # exactly level k-1, all on one side.
     n_left = g.n_left
     adj = _adjacency(g.edges(), n_left)
     levels = _survival_sets(adj, r, t)
+    root = min((x for x in levels[r] if x < n_left), default=None)
     if root is None:
-        roots = [x for x in levels[r] if x < n_left]
-        if not roots:
-            return None
-        root = min(roots)
+        return None
     needed = {root}
     layers = [[root]]
     edges = set()
     for k in range(r, 0, -1):
-        allowed = levels[k - 1]  # None at k = 1: every vertex survives level 0
+        allowed = levels[k - 1]
         nxt = []
         for x in layers[-1]:
             nbrs = adj[x]
             taken = [y for y in nbrs if y in needed]
-            taken += [y for y in nbrs if y not in needed and (allowed is None or y in allowed)]
+            taken += [y for y in nbrs if y not in needed and y in allowed]
             for y in taken[:t + 1]:
                 edges.add(_edge(x, y, n_left))
                 if y not in needed:
@@ -220,35 +218,55 @@ def count_exact_trees(g: BipartiteGraph, r: int, t: int) -> int:
     n_left = g.n_left
     adj = _adjacency(g.edges(), n_left)
     return sum(
-        _count_placements(deque([(x, 0)]), adj, {x}, r, t)
+        _count_placements(x, adj, r, t)
         for x, nbrs in adj.items()
         if x < n_left and len(nbrs) > t
     )
 
 
-def _count_placements(pending, adj, used, r, t):
+def _count_placements(root, adj, r, t):
     # Children are chosen as unordered sets at each node, so every distinct
     # image subgraph is produced by exactly one choice sequence.  A child
     # above depth r needs t children of its own besides its parent, so a
     # neighbor of degree <= t is tried only as a leaf: every choice holding
-    # it as an inner vertex would count 0.
-    if not pending:
-        return 1
-    x, depth = pending.popleft()
-    leaf = depth + 1 == r
-    cands = [y for y in adj[x] if y not in used and (leaf or len(adj[y]) > t)]
+    # it as an inner vertex would count 0.  The choices are a depth-first
+    # walk kept on an explicit stack, one frame per placed inner vertex
+    # [x, depth, its remaining child sets, the set taken now], so deep
+    # trees need no Python recursion.  pending holds the placed vertices
+    # whose children are not yet chosen, in breadth-first order.
+    pending = deque([(root, 0)])
+    used = {root}
+    frames = []
     count = 0
-    for combo in combinations(cands, t + 1 if depth == 0 else t):
-        used.update(combo)
-        if depth + 1 < r:
-            pending.extend((y, depth + 1) for y in combo)
-        count += _count_placements(pending, adj, used, r, t)
-        if depth + 1 < r:
-            for _ in combo:
-                pending.pop()
-        used.difference_update(combo)
-    pending.appendleft((x, depth))
-    return count
+    while True:
+        if pending:
+            x, depth = pending.popleft()
+            leaf = depth + 1 == r
+            cands = [y for y in adj[x] if y not in used and (leaf or len(adj[y]) > t)]
+            frames.append([x, depth, combinations(cands, t + 1 if depth == 0 else t), None])
+        else:
+            count += 1
+        # Move the deepest frame to its next child set, undoing the set it
+        # took last; a frame with none left gives its vertex back to pending.
+        while frames:
+            frame = frames[-1]
+            x, depth, combos, combo = frame
+            grows = depth + 1 < r
+            if combo is not None:
+                used.difference_update(combo)
+                if grows:
+                    for _ in combo:
+                        pending.pop()
+            frame[3] = combo = next(combos, None)
+            if combo is not None:
+                used.update(combo)
+                if grows:
+                    pending.extend((y, depth + 1) for y in combo)
+                break
+            frames.pop()
+            pending.appendleft((x, depth))
+        if not frames:
+            return count
 
 
 def find_short_cycle(g: BipartiteGraph, max_len: int):

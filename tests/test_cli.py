@@ -453,6 +453,21 @@ def test_sweep_rejects_nan_c_at_load(capsys, tmp_path):
     assert "every c must be positive" in err
 
 
+def test_sweep_rejects_oversize_n_before_any_trial(capsys, monkeypatch):
+    # 3e9 squared passes 2**61 cells: the spec is refused when loaded, not
+    # after the trials of the n = 200 point.
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment, "run_trial", no_trial)
+    code, out, err = run_cli(capsys, [
+        "sweep", "--mode", "CONSTANT_T_SWEEP", "--n-values", "200,3000000000",
+        "-r", "1", "-t", "1", "--c-values", "1", "--trials", "5",
+    ])
+    assert code == 2 and out == ""
+    assert "2**61 cells" in err and err.count("\n") == 1
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched trial reaches the worker only by fork")
 def test_sweep_reports_a_dead_worker(capsys, tmp_path, monkeypatch):

@@ -279,6 +279,8 @@ def test_spec_common_constraints():
     with pytest.raises(ValueError):
         ExperimentSpec(CONSTANT_T_SWEEP, (10,), 1, 5, 0, t=1, c_values=(1.0,),
                        confidence=0.0)
+    with pytest.raises(ValueError, match=r"2\*\*61 cells"):
+        ExperimentSpec(CONSTANT_T_SWEEP, (200, 3_000_000_000), 1, 5, 0, t=1, c_values=(1.0,))
 
 
 # ------------------------------------------------------------------- sweeps

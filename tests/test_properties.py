@@ -20,7 +20,6 @@ from peelsim import (
     count_exact_trees,
     decode,
     decode_fixpoint,
-    extract_config,
     find_config,
     from_grid,
     parse_graph,
@@ -129,20 +128,22 @@ def test_trial_reuses_the_engine_only_when_nothing_was_removed(g, rounds):
 
 
 @capabilities
-@per_capability
-@given(graphs(), st.integers(1, 6))
+@settings(fixed, max_examples=250)
+@given(graphs(7), st.integers(1, 6))
 def test_find_config_exists_exactly_when_decoding_fails(t, g, rounds):
     # Deeper than the acceptance check's r <= 3: every survival level from
-    # 2 up is taken from the survivors of the level before.
+    # 2 up is taken from the survivors of the level before.  Grids up to
+    # 7x7 and 250 examples per t, since a construction fault has shown up
+    # in only about 1 in 400 failing cases of that size.
     ok, *_ = ref_decode(g, rounds, t)
     cfg = find_config(g, rounds, t)
     assert (cfg is None) == ok
     if cfg is not None:
         # The certificate passes the local check, decoding fails on its
-        # own edges, and extract_config builds the same one.
+        # own edges, and it is rooted at the decoder's smallest residual row.
         assert verify_config(g, cfg, rounds, t)
         assert not ref_decode(BipartiteGraph(g.n_left, g.n_right, sorted(cfg.edges)), rounds, t)[0]
-        assert extract_config(g, DecodeParams(rounds, t)) == cfg
+        assert cfg.root == int(decode(g, DecodeParams(rounds, t)).residual.u.min())
 
 
 @pytest.mark.parametrize("t", range(1, 4))

@@ -151,11 +151,12 @@ def test_verify_rejects_a_first_layer_other_than_the_root():
 
 
 def test_verify_rejects_thin_vertex():
-    # A bare star fails at r=2: its leaves sit at depth 1 <= r-1 with degree 1.
+    # A bare star fails at r=2: each leaf has level 1 but only one
+    # H-neighbor, the root, where level 1 needs t+1 = 2.
     star = star_graph(1)
     cfg = UndecodableConfig(
         0,
-        (frozenset({0}), frozenset({0, 1}), frozenset({0})),
+        (frozenset({0}), frozenset({0, 1}), frozenset()),
         frozenset({(0, 0), (0, 1)}),
     )
     assert not verify_config(star, cfg, r=2, t=1)
@@ -354,6 +355,16 @@ def test_count_k44():
     assert count_exact_trees(complete_graph(4, 4), 1, 1) == 24
 
 
+@pytest.mark.parametrize("rows,r,count", [(650, 600, 50), (1500, 400, 1100)])
+def test_count_on_long_paths(rows, r, count):
+    # The path row 0, column 0, row 1, ...: a placement is a subpath of 2r
+    # edges centred on a row at least r steps from both ends.  The choice
+    # search places about 2r vertices one below the other, past the
+    # default recursion limit at r = 600.
+    g = BipartiteGraph(rows, rows, [(i, j) for i in range(rows) for j in (i - 1, i) if j >= 0])
+    assert count_exact_trees(g, r, 1) == count
+
+
 def test_count_validation():
     for r, t in ((0, 1), (1, 0), (True, 1), (1, True)):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
@@ -486,13 +497,14 @@ def test_searches_stay_linear_in_edges():
         cycle = find_short_cycle(big, 6)
         trees = count_exact_trees(big, 1, 1)
         cfg = find_config(big, 2, 1)
+        extracted = extract_config(big, DecodeParams(2, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     assert_valid_cycle(big, cycle, 4)
     assert trees == naive_tree_count(small, 1, 1) == 4
-    assert cfg == find_config(K22, 2, 1)
+    assert cfg == extracted == find_config(K22, 2, 1)
 
 
 def test_searches_take_vertex_ids_past_int64():
@@ -520,6 +532,7 @@ def test_searches_take_vertex_ids_past_int64():
     for r in (1, 2, 3):
         cfg = find_config(small, r, 1)
         assert find_config(big, r, 1) == lift(cfg)
+        assert extract_config(big, DecodeParams(r, 1)) == lift(cfg)
         assert verify_config(big, lift(cfg), r, 1)
         assert verify_config(big, lift(cfg), r, 2) == verify_config(small, cfg, r, 2)
 
