@@ -10,18 +10,10 @@ threshold and walks through the alternating peeling schedule round by
 round.
 """
 
-import numpy as np
-
 from peelsim import (
-    DecodeParams, ErasureGrid, decode, decode_fixpoint,
+    DecodeParams, decode, decode_fixpoint,
     sample_bipartite, threshold_p, write_grid,
 )
-
-
-def as_grid(graph):
-    mask = np.zeros((graph.n_left, graph.n_right), dtype=bool)
-    mask[graph.u, graph.v] = True
-    return ErasureGrid(mask)
 
 
 n = 12
@@ -31,7 +23,7 @@ p = 2.0 * threshold_p(n, r, t)  # twice the threshold: failures are common here
 g = sample_bipartite(n, n, p, seed=2024)
 print(f"sampled G({n}, {n}, p={p:.4f}) with seed 2024: {g.edge_count} erased cells")
 print()
-print(write_grid(as_grid(g)))
+print(write_grid(g))
 
 # The schedule alternates sides and always finishes on rows.  A vertex is
 # cleared when at most t of its cells are still erased.
@@ -52,4 +44,4 @@ print(f"fixpoint: {'decoded' if fix.success else 'stuck'} after "
 if not fix.success:
     print("the residual is the stuck core; no schedule, however long, clears it:")
     print()
-    print(write_grid(as_grid(fix.residual)))
+    print(write_grid(fix.residual))

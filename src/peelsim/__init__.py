@@ -30,8 +30,6 @@ from .experiment import (
 )
 from .graph import (
     BipartiteGraph,
-    ErasureGrid,
-    from_grid,
     parse_graph,
     parse_grid,
     sample_bipartite,
@@ -73,7 +71,6 @@ __all__ = [
     "DECODABLE_ONE_ROUND",
     "DecodeOutcome",
     "DecodeParams",
-    "ErasureGrid",
     "ExperimentSpec",
     "LINEAR_REGIME_SWEEP",
     "PointEstimate",
@@ -93,7 +90,6 @@ __all__ = [
     "extract_config",
     "find_config",
     "find_short_cycle",
-    "from_grid",
     "linear_regime_prediction",
     "load_spec",
     "parse_graph",

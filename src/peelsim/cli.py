@@ -15,6 +15,7 @@ flow from --seed (gen: default 0; sweep: the spec's master_seed, default
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from concurrent.futures import BrokenExecutor
 
 from .decode import DecodeParams, decode, decode_fixpoint
 from .experiment import load_spec, run_sweep, write_results
-from .graph import from_grid, parse_graph, parse_grid, sample_bipartite, serialize_graph
+from .graph import parse_graph, parse_grid, sample_bipartite, serialize_graph
 from .theory import asymptotic_success, threshold_p, tree_stats
 from .witness import count_exact_trees, find_config, find_short_cycle, serialize_config
 
@@ -122,7 +123,7 @@ def _load_graph(args):
         with open(args.edges) as fh:
             return parse_graph(fh.read())
     with open(args.grid) as fh:
-        return from_grid(parse_grid(fh.read()))
+        return parse_grid(fh.read())
 
 
 def _emit(args, text: str):
@@ -243,18 +244,8 @@ def _cmd_theory(args) -> int:
     rows = []
     for r in range(args.r, r_hi + 1):
         for t in range(args.t, t_hi + 1):
-            s = tree_stats(r, t)
-            row = {
-                "r": r,
-                "t": t,
-                "edges": s.edges,
-                "vertices": s.vertices,
-                "left_vertices": s.left_vertices,
-                "right_vertices": s.right_vertices,
-                "automorphisms": s.automorphisms,
-                "log_automorphisms": s.log_automorphisms,
-                "threshold_exponent": -(1.0 + 1.0 / s.edges),
-            }
+            row = dataclasses.asdict(tree_stats(r, t))
+            row["threshold_exponent"] = -(1.0 + 1.0 / row["edges"])
             if args.n is not None:
                 row["threshold_p"] = threshold_p(args.n, r, t)
             if args.c is not None:

@@ -3,7 +3,8 @@
 An erasure pattern of a product code is stored as a bipartite graph: left
 vertices are rows, right vertices are columns, and an edge (u, v) marks an
 erased symbol in cell (u, v).  Graphs are immutable once built, so they can
-be shared freely between threads.
+be shared freely between threads.  It is the one pattern type: both text
+formats, the '.'/'X' grid and the edge list, read into and write from it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "BipartiteGraph",
-    "ErasureGrid",
-    "from_grid",
     "parse_graph",
     "parse_grid",
     "sample_bipartite",
@@ -69,10 +68,11 @@ class BipartiteGraph:
         self._init_sorted(n_left, n_right, u, v)
 
     @classmethod
-    def _from_sorted(cls, n_left: int, n_right: int, u: np.ndarray, v: np.ndarray) -> "BipartiteGraph":
-        # Trusted constructor: arrays already lex-sorted, in range, duplicate-free.
+    def _from_sorted(cls, n_left: int, n_right: int, u, v) -> "BipartiteGraph":
+        # Trusted constructor: endpoints (arrays or int lists) already
+        # lex-sorted, in range, duplicate-free.
         g = cls.__new__(cls)
-        g._init_sorted(n_left, n_right, u.astype(np.int64, copy=False), v.astype(np.int64, copy=False))
+        g._init_sorted(n_left, n_right, u, v)
         return g
 
     def _init_sorted(self, n_left, n_right, u, v):
@@ -114,61 +114,37 @@ class BipartiteGraph:
         return f"BipartiteGraph(n_left={self.n_left}, n_right={self.n_right}, edges={self.edge_count})"
 
 
-class ErasureGrid:
-    """Dense boolean erasure mask of shape (n_rows, n_cols); True = erased."""
+def parse_grid(text: str) -> BipartiteGraph:
+    """Parse the grid text format: one row per line, '.' intact, 'X' erased.
 
-    def __init__(self, mask):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] < 1 or mask.shape[1] < 1:
-            raise ValueError(f"grid must be 2-D with positive dimensions, got shape {mask.shape}")
-        mask.flags.writeable = False
-        self.mask = mask
-        self.n_rows, self.n_cols = mask.shape
-
-    def __eq__(self, other):
-        if not isinstance(other, ErasureGrid):
-            return NotImplemented
-        return np.array_equal(self.mask, other.mask)
-
-    def __repr__(self):
-        return f"ErasureGrid({self.n_rows}x{self.n_cols}, erased={int(self.mask.sum())})"
-
-
-def parse_grid(text: str) -> ErasureGrid:
-    """Parse the grid text format: one row per line, '.' intact, 'X' erased."""
+    Line i is left vertex i, column j is right vertex j, and each 'X' is
+    the edge (i, j)."""
     lines = text.splitlines()
     if not lines or all(not ln for ln in lines):
         raise ValueError("empty grid")
     width = len(lines[0])
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
+    # Read in line order, the edges come out sorted by (left, right).
+    u, v = [], []
+    for i, ln in enumerate(lines):
         if len(ln) != width:
-            raise ValueError(f"line {lineno}: expected {width} characters, got {len(ln)}")
-        row = []
-        for colno, ch in enumerate(ln, start=1):
-            if ch == ".":
-                row.append(False)
-            elif ch == "X":
-                row.append(True)
-            else:
-                raise ValueError(f"line {lineno}, column {colno}: illegal character {ch!r}")
-        rows.append(row)
+            raise ValueError(f"line {i + 1}: expected {width} characters, got {len(ln)}")
+        for j, ch in enumerate(ln):
+            if ch == "X":
+                u.append(i)
+                v.append(j)
+            elif ch != ".":
+                raise ValueError(f"line {i + 1}, column {j + 1}: illegal character {ch!r}")
     if width == 0:
         raise ValueError("grid has zero columns")
-    return ErasureGrid(np.array(rows, dtype=bool))
+    return BipartiteGraph._from_sorted(len(lines), width, u, v)
 
 
-def write_grid(grid: ErasureGrid) -> str:
-    out = []
-    for row in grid.mask:
-        out.append("".join("X" if c else "." for c in row))
-    return "\n".join(out) + "\n"
-
-
-def from_grid(grid: ErasureGrid) -> BipartiteGraph:
-    """Erased cells become edges: rows map to left vertices, columns to right."""
-    r, c = np.nonzero(grid.mask)
-    return BipartiteGraph._from_sorted(grid.n_rows, grid.n_cols, r, c)
+def write_grid(g: BipartiteGraph) -> str:
+    """Grid text of g: one line per left vertex, 'X' at each right neighbour."""
+    cells = np.full((g.n_left, g.n_right + 1), ord("."), dtype=np.uint8)
+    cells[:, -1] = ord("\n")
+    cells[g.u, g.v] = ord("X")
+    return cells.tobytes().decode("ascii")
 
 
 def serialize_graph(g: BipartiteGraph) -> str:

@@ -7,8 +7,6 @@ import pytest
 
 from peelsim import (
     BipartiteGraph,
-    ErasureGrid,
-    from_grid,
     parse_graph,
     parse_grid,
     sample_bipartite,
@@ -93,14 +91,13 @@ def test_equality():
 # ---------------------------------------------------------------- grid format
 
 def test_parse_grid_basic():
-    grid = parse_grid("..\n.X\n")
-    assert grid.n_rows == 2 and grid.n_cols == 2
-    assert grid.mask.tolist() == [[False, False], [False, True]]
+    assert parse_grid("..\n.X\n") == BipartiteGraph(2, 2, [(1, 1)])
+    # No erasure leaves a graph without edges that keeps both sides.
+    assert parse_grid("...\n...\n") == BipartiteGraph(2, 3)
 
 
 def test_parse_grid_all_erased():
-    grid = parse_grid("XX\nXX\n")
-    assert grid.mask.all()
+    assert parse_grid("XX\nXX\n") == BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def test_parse_grid_ragged_line():
@@ -121,27 +118,11 @@ def test_parse_grid_empty_input():
 
 
 def test_grid_round_trip():
+    assert write_grid(BipartiteGraph(2, 3, [(0, 1), (1, 2)])) == ".X.\n..X\n"
     rng = np.random.default_rng(3)
     for _ in range(20):
-        grid = ErasureGrid(rng.random((4, 7)) < 0.5)
-        assert parse_grid(write_grid(grid)) == grid
-
-
-def test_from_grid_examples():
-    assert from_grid(ErasureGrid(np.zeros((3, 3), bool))).edge_count == 0
-    mask = np.zeros((2, 2), bool)
-    mask[0, 1] = True
-    g = from_grid(ErasureGrid(mask))
-    assert list(g.edges()) == [(0, 1)]
-    k22 = from_grid(ErasureGrid(np.ones((2, 2), bool)))
-    assert k22 == BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-
-
-def test_from_grid_preserves_counts():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        mask = rng.random((6, 5)) < 0.3
-        assert from_grid(ErasureGrid(mask)).edge_count == int(mask.sum())
+        g = mask_to_graph(rng.random((4, 7)) < 0.5)
+        assert parse_grid(write_grid(g)) == g
 
 
 # ------------------------------------------------------------ edge-list format
