@@ -155,6 +155,11 @@ def test_tree_count_matches_subset_enumeration(t, g, r):
 
 @fixed
 @given(graphs(max_side=12))
-def test_text_formats_round_trip(g):
+def test_edge_list_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+@fixed
+@given(grids())
+def test_grid_round_trip(g):
     assert parse_grid(write_grid(g)) == g
