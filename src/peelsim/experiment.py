@@ -3,10 +3,10 @@
 Reproducibility contract: every trial's seed is derived from
 (master_seed, point_index, trial_index) by SplitMix64, so results are a
 pure function of the experiment spec.  Points are processed in sorted
-(n, c_or_p) order.  Several processes run each point's trials as
-contiguous ranges, and every range returns integer partial sums that are
-added per point before any float is formed, so the output is
-byte-identical however the trials were cut, that is, at any worker count.
+(n, c_or_p) order.  With k processes, process j runs every k-th trial of
+the point-major sequence from trial j, and returns integer sums per point
+that are added before any float is formed, so the output is byte-identical
+at any worker count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import contextlib
 import ctypes
 import json
 import math
+import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -265,25 +266,44 @@ def _point_tasks(spec: ExperimentSpec) -> list[dict]:
     return tasks
 
 
-def _run_range(args) -> tuple[int, int, int, int]:
-    """Trials [start, stop) of one point, in trial order, as integer partial
-    sums: successes, one-round successes, residual edges, fixpoint rounds."""
-    spec, task, start, stop = args
-    params = DecodeParams(rounds=spec.r, t=task["t"])
-    successes = one_round = residual_sum = fixpoint_sum = 0
-    for trial_index in range(start, stop):
-        seed = trial_seed(spec.master_seed, task["point_index"], trial_index, spec.trials_per_point)
-        rec = run_trial(task["n"], task["p"], params, seed)
-        successes += rec.success
-        one_round += rec.one_round_success
-        residual_sum += rec.residual_edges
-        fixpoint_sum += rec.fixpoint_rounds
-    return successes, one_round, residual_sum, fixpoint_sum
+# The sweep's stop event, in a pool worker; None in the calling process.
+_stop = None
 
 
-def _run_share(ranges) -> list[tuple[int, int, int, int]]:
-    """One process's ranges, run in the order given."""
-    return [_run_range(args) for args in ranges]
+def _start_worker(stop) -> None:
+    """Pool initializer: keep the sweep's stop event and the heap resident."""
+    global _stop
+    _stop = stop
+    _keep_heap_resident()
+
+
+def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
+               futures=()) -> list[list[int]]:
+    """Trials g = first, first + step, ... of the point-major sequence
+    g = point_index * trials_per_point + trial_index, in order, as four
+    integer sums per point: successes, one-round successes, residual edges,
+    fixpoint rounds.  After each point it raises the error of any failed
+    future; in a worker, it returns before its next trial once the stop
+    event is set, and the caller, which set it, drops the short sums."""
+    tpp = spec.trials_per_point
+    per_point = []
+    for task in points:
+        params = DecodeParams(rounds=spec.r, t=task["t"])
+        sums = [0, 0, 0, 0]
+        for trial_index in range((first - task["point_index"] * tpp) % step, tpp, step):
+            if _stop is not None and _stop.is_set():
+                return per_point
+            seed = trial_seed(spec.master_seed, task["point_index"], trial_index, tpp)
+            rec = run_trial(task["n"], task["p"], params, seed)
+            sums[0] += rec.success
+            sums[1] += rec.one_round_success
+            sums[2] += rec.residual_edges
+            sums[3] += rec.fixpoint_rounds
+        per_point.append(sums)
+        for future in futures:
+            if future.done():
+                future.result()
+    return per_point
 
 
 def _estimate(spec: ExperimentSpec, task: dict, sums) -> PointEstimate:
@@ -306,13 +326,6 @@ def _estimate(spec: ExperimentSpec, task: dict, sums) -> PointEstimate:
         mean_rounds_to_fixpoint=fixpoint_sum / trials,
         one_round_fraction=one_round / trials,
     )
-
-
-def _split(trials: int, parts: int) -> list[tuple[int, int]]:
-    """range(trials) cut into `parts` contiguous ranges whose sizes differ by
-    at most one; no range is empty when parts <= trials."""
-    bounds = [k * trials // parts for k in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
 
 
 def _available_cpus() -> int:
@@ -354,54 +367,40 @@ def _keep_heap_resident(libc=None) -> bool:
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ...]:
     """Run every point of the sweep; identical output for any worker count.
 
-    The sweep runs on procs = min(workers, ranges, CPUs available to this
-    process) processes, the calling one included: procs - 1 are forked, and
-    with one process none is.  Each point's trials are cut into contiguous
-    ranges, one per process (fewer when a point has fewer trials), and the
-    ranges, point-major, are dealt out so that process j runs
-    ranges[j::procs], which is cut j of every point when each point has
-    procs cuts.  The calling process hands the other shares to the pool and
-    runs its own; after each of its ranges it raises the error of any
-    worker share that has failed, and once its share is done it waits on
-    the pool.  Each range returns integer partial sums (see _run_range), which
-    are put back in range order and added per point.  Integer sums do not
-    depend on how the trials were cut or who ran them, so the result is
-    the same at any worker count.  With one process, run_trial is called
-    in point-major, trial-ascending order.
+    The sweep runs on procs = min(workers, its trial count, CPUs available
+    to this process) processes, the calling one included: procs - 1 are forked, and
+    with one process none is.  Process j runs trials j, j + procs, ... of
+    the point-major sequence (see _run_share); the calling process runs
+    share 0 and raises a failed worker's error after each point.  Integer
+    sums per point are added over the shares, so the result does not depend
+    on who ran a trial, and with one process run_trial is called in
+    point-major, trial-ascending order.  If the caller's share raises, the
+    caller sets the stop event, so each worker ends at its next trial; no
+    pool process outlives the call.
 
     Every process that runs trials keeps freed trial arrays resident: the
     pool's workers, and the calling process, whose glibc mmap and trim
     thresholds this sets for the rest of its life (see _keep_heap_resident).
-    No pool process outlives the call, whether it returns or raises.
     """
     workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
-    procs = min(workers, _available_cpus())
-    cuts = _split(spec.trials_per_point, min(procs, spec.trials_per_point))
-    ranges = [(spec, task, start, stop) for task in points for start, stop in cuts]
-    procs = min(procs, len(ranges))
-    partials = [None] * len(ranges)
+    procs = min(workers, _available_cpus(), len(points) * spec.trials_per_point)
+    stop = multiprocessing.Event() if procs > 1 else None
     # With one process, range(1, procs) is empty: nothing is submitted to
     # the null context that stands in for the pool.
-    pool = (ProcessPoolExecutor(max_workers=procs - 1, initializer=_keep_heap_resident)
+    pool = (ProcessPoolExecutor(max_workers=procs - 1, initializer=_start_worker, initargs=(stop,))
             if procs > 1 else contextlib.nullcontext())
     with pool:
-        futures = [pool.submit(_run_share, ranges[j::procs]) for j in range(1, procs)]
+        futures = [pool.submit(_run_share, spec, points, j, procs) for j in range(1, procs)]
         _keep_heap_resident()
-        for k in range(0, len(ranges), procs):
-            partials[k] = _run_range(ranges[k])
-            # A worker that died or raised fails the sweep now, not after
-            # the rest of this process's share.
-            for future in futures:
-                if future.done():
-                    future.result()
-        for j, future in enumerate(futures, start=1):
-            partials[j::procs] = future.result()
-    per_point = len(cuts)
-    return tuple(
-        _estimate(spec, task, map(sum, zip(*partials[k * per_point:(k + 1) * per_point])))
-        for k, task in enumerate(points)
-    )
+        try:
+            shares = [_run_share(spec, points, 0, procs, futures)]
+        except BaseException:
+            if stop is not None:
+                stop.set()
+            raise
+        shares += [future.result() for future in futures]
+    return tuple(_estimate(spec, task, map(sum, zip(*sums))) for task, *sums in zip(points, *shares))
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:

@@ -134,8 +134,6 @@ def parse_grid(text: str) -> BipartiteGraph:
                 v.append(j)
             elif ch != ".":
                 raise ValueError(f"line {i + 1}, column {j + 1}: illegal character {ch!r}")
-    if width == 0:
-        raise ValueError("grid has zero columns")
     return BipartiteGraph._from_sorted(len(lines), width, u, v)
 
 

@@ -305,20 +305,27 @@ def test_sweep_deterministic_and_worker_independent():
     assert a == b == c
 
 
-# ------------------------------------------------------------ trial ranges
+# ------------------------------------------------------------ trial shares
 
 def _single_point(trials):
     return ExperimentSpec(mode=SINGLE_POINT, n_values=(20,), r=2, t=1, c_values=(1.5,),
                           trials_per_point=trials, master_seed=11)
 
 
-class _FakePool:
-    """Stands in for ProcessPoolExecutor: records its size and the shares of
-    ranges submitted, and runs each share in this process when submitted."""
+def _three_points(trials):
+    return ExperimentSpec(mode=CONSTANT_T_SWEEP, n_values=(20,), r=2, t=1, c_values=(0.5, 1.0, 1.5),
+                          trials_per_point=trials, master_seed=11)
 
-    def __init__(self, max_workers, initializer=None):
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, its initializer
+    and the (first, step) of each share submitted, and runs each share in
+    this process when submitted."""
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
         self.initializer = initializer
+        self.initargs = initargs
         self.shares = []
         _FakePool.made.append(self)
 
@@ -328,10 +335,10 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, share):
-        self.shares.append([(task["point_index"], start, stop) for _, task, start, stop in share])
+    def submit(self, fn, spec, points, first, step):
+        self.shares.append((first, step))
         future = Future()
-        future.set_result(fn(share))
+        future.set_result(fn(spec, points, first, step))
         return future
 
 
@@ -343,18 +350,32 @@ def fake_pool(monkeypatch):
 
 
 @pytest.fixture
-def ranges_run(monkeypatch):
-    """Every range run, in the caller or in a fake pool, as (point, start, stop)."""
+def trials_run(monkeypatch):
+    """Every trial run, in the caller or in a fake pool, as (first, seed):
+    the share that ran it and the trial's seed."""
     ran = []
-    run_range = experiment._run_range
+    first = []
+    run_share = experiment._run_share
 
-    def recording_range(args):
-        _, task, start, stop = args
-        ran.append((task["point_index"], start, stop))
-        return run_range(args)
+    def recording_share(spec, points, *args):
+        first.append(args[0])
+        return run_share(spec, points, *args)
 
-    monkeypatch.setattr(experiment, "_run_range", recording_range)
+    monkeypatch.setattr(experiment, "_run_share", recording_share)
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *args: ran.append((first[-1], args[-1])) or run_trial(*args))
     return ran
+
+
+def _strided(trials_run, spec, procs):
+    """Every trial ran once, and share j ran the trials g = j mod procs of
+    the point-major sequence g = point * trials_per_point + trial."""
+    tpp = spec.trials_per_point
+    points = len(spec.n_values) * len(spec.c_values)
+    place = {trial_seed(spec.master_seed, k, i, tpp): k * tpp + i
+             for k in range(points) for i in range(tpp)}
+    assert sorted(place[seed] for _, seed in trials_run) == list(range(points * tpp))
+    assert all(place[seed] % procs == first for first, seed in trials_run)
 
 
 # A trial patched in this process reaches the pool's workers only when they
@@ -363,40 +384,48 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                 reason="patched trials reach workers only by fork")
 
 
-@pytest.mark.parametrize("trials", [1, 7])
-def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, trials):
-    # Enough CPUs that three workers really cut a point three ways.
+@pytest.mark.parametrize("spec", [
+    pytest.param(_single_point(1), id="1"),
+    pytest.param(_single_point(7), id="7"),
+    # Fewer trials per point than workers: the shares cross points.
+    pytest.param(_three_points(1), id="3-points-1"),
+    pytest.param(_three_points(2), id="3-points-2"),
+])
+def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, spec):
+    # Enough CPUs that three workers really run three shares.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
-    spec = _single_point(trials)
     outputs = [(write_results(res, "csv"), write_results(res, "json"))
                for res in (run_sweep(spec, workers=w) for w in (1, 2, 3))]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("trials,workers,ranges", [
-    (7, 2, [(0, 3), (3, 7)]),
-    (7, 3, [(0, 2), (2, 4), (4, 7)]),
-    (2, 3, [(0, 1), (1, 2)]),
-])
-def test_pool_gets_contiguous_nonempty_ranges(monkeypatch, fake_pool, ranges_run,
-                                              trials, workers, ranges):
+@pytest.mark.parametrize("spec,workers,procs", [
+    (_single_point(7), 2, 2),
+    (_single_point(7), 3, 3),
+    (_single_point(2), 3, 2),
+    (_three_points(1), 3, 3),
+    (_three_points(2), 3, 3),
+], ids=["1x7-2", "1x7-3", "1x2-3", "3x1-3", "3x2-3"])  # points x trials-workers
+def test_pool_gets_one_strided_share_per_worker(monkeypatch, fake_pool, trials_run,
+                                                spec, workers, procs):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
-    expected = write_results(run_sweep(_single_point(trials)), "csv")
-    ranges_run.clear()
+    expected = write_results(run_sweep(spec), "csv")
+    trials_run.clear()
     heap = []
     monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: heap.append("caller"))
-    assert write_results(run_sweep(_single_point(trials), workers=workers), "csv") == expected
+    assert write_results(run_sweep(spec, workers=workers), "csv") == expected
     (pool,) = fake_pool
-    # One process per range, the caller among them: one worker fewer.
-    assert pool.max_workers == len(ranges) - 1
-    assert pool.initializer is experiment._keep_heap_resident
+    # One share per process, the caller among them: one worker fewer.
+    assert pool.max_workers == procs - 1
+    assert pool.initializer is experiment._start_worker
+    (stop,) = pool.initargs
+    assert not stop.is_set()
     assert heap == ["caller"]
-    # Every range is cut as before and runs once: the caller runs the
-    # first, and each pool worker gets one task holding one other range.
-    ranges = [(0, *cut) for cut in ranges]
-    assert sorted(ranges_run) == ranges and len(ranges_run) == len(ranges)
-    assert pool.shares == [[cut] for cut in ranges[1:]]
-    assert ranges_run[-1] == ranges[0]
+    # Each pool worker gets one task, share j of procs; the caller runs
+    # share 0, after the fake pool has run the others.
+    assert pool.shares == [(j, procs) for j in range(1, procs)]
+    _strided(trials_run, spec, procs)
+    assert trials_run[-1][0] == 0
 
 
 def test_one_trial_per_point_starts_no_pool(monkeypatch, fake_pool):
@@ -405,23 +434,24 @@ def test_one_trial_per_point_starts_no_pool(monkeypatch, fake_pool):
     assert fake_pool == []
 
 
-def test_pool_size_is_capped_by_cpus_and_ranges(monkeypatch, fake_pool, ranges_run):
+def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch, fake_pool, trials_run):
     # Under fork the real executor starts every max_workers process at once,
     # so a huge worker count is only ever handed to the fake.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
     run_sweep(SMALL_SWEEP, workers=5000)
     (pool,) = fake_pool
     assert pool.max_workers == 3 - 1
-    # Each of the 4 points is cut three ways, and process j runs cut j of
-    # every point; every range runs exactly once.
-    cuts = [(0, 21), (21, 42), (42, 64)]
-    ranges = [(k, *cut) for k in range(4) for cut in cuts]
-    assert sorted(ranges_run) == ranges and len(ranges_run) == len(ranges)
-    assert pool.shares == [ranges[1::3], ranges[2::3]]
-    assert ranges_run[-4:] == ranges[0::3]
+    assert pool.shares == [(1, 3), (2, 3)]
+    _strided(trials_run, SMALL_SWEEP, 3)
+    # Three trials in all: three processes, however many CPUs.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    trials_run.clear()
+    run_sweep(_three_points(1), workers=5000)
+    assert fake_pool[1].max_workers == 3 - 1
+    _strided(trials_run, _three_points(1), 3)
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
     run_sweep(SMALL_SWEEP, workers=5000)
-    assert len(fake_pool) == 1  # one CPU: the sweep ran in this process
+    assert len(fake_pool) == 2  # one CPU: the sweep ran in this process
 
 
 @needs_fork
@@ -461,11 +491,38 @@ def test_error_in_the_callers_share_leaves_no_child(monkeypatch):
 
 
 @needs_fork
+def test_error_in_the_callers_share_stops_the_workers(monkeypatch, tmp_path):
+    # Each of the worker's 40 trials takes 0.1 s, so its share alone takes
+    # 4 s; the caller fails at its first trial and sets the stop event, so
+    # the worker ends at its next trial and the error comes out at once.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+    ran = tmp_path / "ran"
+    ran.touch()
+
+    def trial(*args):
+        if os.getpid() == caller:
+            raise RuntimeError("trial failed in the caller")
+        with open(ran, "a") as fh:
+            fh.write("trial\n")
+        time.sleep(0.1)
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="trial failed in the caller"):
+        run_sweep(_single_point(80), workers=2)
+    assert time.perf_counter() - start < 1.0
+    assert len(ran.read_text().split()) < 5  # of the worker's 40
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
     # The worker dies at its first trial, as under the OOM killer, while
     # each of the caller's trials waits for that death and then takes a
     # while: checked only after the caller's whole share, the sweep would
-    # run all six of the caller's ranges before it failed.
+    # run all six of the caller's trials, one per point, before it failed.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     caller = os.getpid()
     died = tmp_path / "died"
@@ -534,6 +591,19 @@ class _Libc:
             return self._returns
 
         self.mallopt = mallopt
+
+
+def test_worker_initializer_keeps_the_stop_event_and_the_heap(monkeypatch):
+    heap = []
+    monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: heap.append("worker"))
+    monkeypatch.setattr(experiment, "_stop", None)
+    stop = multiprocessing.Event()
+    experiment._start_worker(stop)
+    assert experiment._stop is stop and heap == ["worker"]
+    # Once the event is set, a worker's share returns before its next trial.
+    stop.set()
+    monkeypatch.setattr(experiment, "run_trial", lambda *args: pytest.fail("trial run after stop"))
+    assert experiment._run_share(SMALL_SWEEP, experiment._point_tasks(SMALL_SWEEP), 1, 2) == []
 
 
 def test_heap_initializer_is_quiet_without_mallopt():

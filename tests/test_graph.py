@@ -103,6 +103,10 @@ def test_parse_grid_all_erased():
 def test_parse_grid_ragged_line():
     with pytest.raises(ValueError, match="line 2: expected 2 characters"):
         parse_grid("X.\nX\n")
+    # An empty first line sets the width to 0, so the first non-empty line
+    # fails the width check: no grid has zero columns.
+    with pytest.raises(ValueError, match="^line 2: expected 0 characters, got 2$"):
+        parse_grid("\n.X")
 
 
 def test_parse_grid_illegal_character():
@@ -111,9 +115,9 @@ def test_parse_grid_illegal_character():
 
 
 def test_parse_grid_empty_input():
-    with pytest.raises(ValueError, match="empty grid"):
+    with pytest.raises(ValueError, match="^empty grid$"):
         parse_grid("")
-    with pytest.raises(ValueError, match="empty grid"):
+    with pytest.raises(ValueError, match="^empty grid$"):
         parse_grid("\n\n")
 
 
