@@ -13,10 +13,10 @@ Decoding succeeds when no edges remain after the final round.
 One loop, ``_MaskEngine.peel``, runs the rounds of ``decode``,
 ``decode_fixpoint`` and ``experiment.run_trial``.  Once the graph is empty,
 or the last two rounds (one per side) removed nothing, the state is a
-fixpoint and the loop stops; ``decode`` fills the rest of its schedule with
-the shared no-op records.  The engine holds only the live edges: after a
-round removes edges, its edge arrays shrink to the survivors, so a round
-costs one n-length degree count plus work in the edges still live.
+fixpoint and the loop stops: every later round would be a no-op, so a
+trace records only the rounds run.  The engine holds only the live edges:
+after a round removes edges, its edge arrays shrink to the survivors, so a
+round costs one n-length degree count plus work in the edges still live.
 """
 
 from __future__ import annotations
@@ -73,47 +73,33 @@ class DecodeOutcome:
     rounds_executed: int
 
 
-# A round that cleared nothing, shared by every no-op round on its side.
-_IDLE = {ROWS: RoundRecord(ROWS, (), 0), COLS: RoundRecord(COLS, (), 0)}
-
-
 def _first_side(rounds: int) -> str:
     """Side of round 1 of `rounds` rounds, the last of which decodes rows."""
     return ROWS if rounds % 2 else COLS
 
 
 def decode(g: BipartiteGraph, params: DecodeParams) -> DecodeOutcome:
-    """Run exactly params.rounds peeling rounds on g.
-
-    Returns the outcome with a per-round trace; rounds_executed equals
-    params.rounds.  Rounds after the fixpoint are recorded, not run.
+    """Run params.rounds peeling rounds on g; rounds_executed equals
+    params.rounds.  The trace holds the rounds up to the fixpoint, a prefix
+    of the schedule: the rounds_executed - len(trace) rounds after it are
+    no-ops and are not recorded.
     """
     run = _MaskEngine(g, params.t)
     trace: list[RoundRecord] = []
     run.peel(_first_side(params.rounds), params.rounds, trace)
-    # The idle tail is itself a schedule ending on rows.
-    idle = params.rounds - run.rounds
-    trace.extend(_IDLE[_first_side(k)] for k in range(idle, 0, -1))
     return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), params.rounds)
 
 
 def decode_fixpoint(g: BipartiteGraph, t: int) -> DecodeOutcome:
     """Peel with unlimited rounds, starting with rows, until the graph is
-    empty or a full row+column double-round removes nothing.
-
-    The engine stops once the graph is empty or two rounds in a row removed
-    nothing; a no-op column round completes a pair cut short on rows, so
-    the trace ends only after a whole pair (or once the graph is empty).
-    rounds_executed counts effective rounds: the position of the last round
-    that removed an edge (0 when nothing was ever removed).  The trace
-    keeps every executed round, including the final no-op ones.
+    empty or two rounds in a row remove nothing; the trace ends on that
+    round.  rounds_executed is the number of the last round that removed
+    an edge (0 when nothing was ever removed).
     """
     t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
     run = _MaskEngine(g, t)
     trace: list[RoundRecord] = []
     run.peel(ROWS, trace=trace)
-    if run.live_edges and run.rounds % 2:
-        trace.append(_IDLE[COLS])
     return DecodeOutcome(run.live_edges == 0, run.residual(), tuple(trace), run.last_removal)
 
 
@@ -180,8 +166,8 @@ class _MaskEngine:
                 self.live_edges = live - removed
                 self.last_removal = self.rounds
         if trace is not None:
-            trace.append(RoundRecord(side, tuple(((deg <= t) & (deg > 0)).nonzero()[0].tolist()), removed)
-                         if removed else _IDLE[side])
+            cleared = ((deg <= t) & (deg > 0)).nonzero()[0].tolist() if removed else ()
+            trace.append(RoundRecord(side, tuple(cleared), removed))
 
     def residual(self) -> BipartiteGraph:
         """The live edges; g itself when the rounds removed nothing.  The

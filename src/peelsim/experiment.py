@@ -147,8 +147,7 @@ class ExperimentSpec:
             raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
+        _quantile_point(self.confidence)
         if self.mode == CONSTANT_T_SWEEP:
             self._need_r_and_t()
             if not self.c_values or self.p_values is not None:
@@ -374,9 +373,9 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     share 0 and raises a failed worker's error after each point.  Integer
     sums per point are added over the shares, so the result does not depend
     on who ran a trial, and with one process run_trial is called in
-    point-major, trial-ascending order.  If the caller's share raises, the
-    caller sets the stop event, so each worker ends at its next trial; no
-    pool process outlives the call.
+    point-major, trial-ascending order.  If the caller's share or a
+    worker's result raises, the caller sets the stop event, so each worker
+    ends at its next trial; no pool process outlives the call.
 
     Every process that runs trials keeps freed trial arrays resident: the
     pool's workers, and the calling process, whose glibc mmap and trim
@@ -395,12 +394,22 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
         _keep_heap_resident()
         try:
             shares = [_run_share(spec, points, 0, procs, futures)]
+            shares += [future.result() for future in futures]
         except BaseException:
             if stop is not None:
                 stop.set()
             raise
-        shares += [future.result() for future in futures]
     return tuple(_estimate(spec, task, map(sum, zip(*sums))) for task, *sums in zip(points, *shares))
+
+
+def _quantile_point(confidence: float) -> float:
+    """0.5 + confidence / 2, where a two-sided interval takes the normal
+    quantile.  Within 2**-53 of 1 that sum rounds to 1.0, whose quantile is
+    infinite, so such a confidence is refused, as is one outside (0, 1)."""
+    point = 0.5 + confidence / 2.0
+    if not (0.0 < confidence and point < 1.0):
+        raise ValueError(f"confidence must lie in (0, 1) with 0.5 + confidence/2 < 1, got {confidence}")
+    return point
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -409,9 +418,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     successes = _integer(successes, 0, "successes must be a non-negative integer, got {!r}")
     if successes > trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(_quantile_point(confidence))
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

@@ -104,6 +104,17 @@ def ref_decode(g: BipartiteGraph, rounds: int, t: int, sequential: bool = False)
     return not edges, frozenset(edges), cleared_rounds, removed_rounds
 
 
+def ref_fixpoint_stop(edge_count: int, removed) -> int:
+    """How many rounds of a run that removes removed[k - 1] edges in round k
+    come before a fixpoint: the graph is empty, or the last two rounds
+    removed nothing.  At most len(removed)."""
+    live, stop = edge_count, 0
+    while stop < len(removed) and live and not (stop >= 2 and removed[stop - 2] == removed[stop - 1] == 0):
+        live -= removed[stop]
+        stop += 1
+    return stop
+
+
 def graph_adjacency(g: BipartiteGraph):
     """Side-tagged adjacency over ('L', i) / ('R', j) node keys."""
     adj = {}

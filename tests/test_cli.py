@@ -97,7 +97,10 @@ def test_decode_strict_failure(capsys, k22_grid):
     lines = out.splitlines()
     assert lines[0] == "FAILURE residual_edges=4"
     assert lines[1] == "rounds_executed=10"
-    assert len(lines) == 12  # report + one line per round
+    # The report, then one line per round up to the fixpoint: K22 at t = 1
+    # is one from the start, so the trace ends after an idle round per side.
+    assert lines[2:] == ["round 1 side=cols cleared=0 edges_removed=0",
+                         "round 2 side=rows cleared=0 edges_removed=0"]
 
 
 def test_decode_without_strict_exits_zero(capsys, k22_grid):
@@ -123,7 +126,8 @@ def test_decode_json(capsys, k22_edges):
     assert payload["success"] is False
     assert payload["residual_edges"] == 4
     assert payload["rounds_executed"] == 3
-    assert [rec["side"] for rec in payload["trace"]] == ["rows", "cols", "rows"]
+    idle = [{"side": side, "cleared": [], "edges_removed": 0} for side in ("rows", "cols")]
+    assert payload["trace"] == idle
 
 
 def test_decode_fixpoint(capsys, k22_edges, tmp_path):
@@ -466,6 +470,21 @@ def test_sweep_rejects_oversize_n_before_any_trial(capsys, monkeypatch):
     ])
     assert code == 2 and out == ""
     assert "2**61 cells" in err and err.count("\n") == 1
+
+
+def test_sweep_rejects_a_confidence_with_an_infinite_quantile_before_any_trial(capsys, monkeypatch):
+    # 0.5 + confidence / 2 rounds to 1.0: the spec is refused when loaded,
+    # not after every trial has run.
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment, "run_trial", no_trial)
+    code, out, err = run_cli(capsys, [
+        "sweep", "--mode", "SINGLE_POINT", "--n-values", "20", "-r", "1", "-t", "1",
+        "--c-values", "1", "--trials", "5", "--confidence", "0.9999999999999999",
+    ])
+    assert code == 2 and out == ""
+    assert "confidence must lie in" in err and err.count("\n") == 1
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

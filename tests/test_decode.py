@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
-import tracemalloc
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from peelsim import (
 from peelsim.decode import COLS, ROWS, _first_side, _MaskEngine
 
 from helpers import (
+    cap_address_space,
     complete_graph,
     mask_to_graph,
     path_graph,
     random_graph,
     ref_decode,
+    ref_fixpoint_stop,
     star_graph,
 )
 
@@ -43,10 +46,11 @@ def mid_size_graph(t, seed):
 # ----------------------------------------------------------------- schedule
 
 def assert_schedule(trace, rounds):
+    # The trace is a prefix of the r-round schedule, whose last round
+    # decodes rows.
     sides = [rec.side for rec in trace]
-    assert len(sides) == rounds
-    assert all(a != b for a, b in zip(sides, sides[1:]))
-    assert sides[-1:] in ([], [ROWS])
+    assert len(sides) <= rounds
+    assert sides == [ROWS if (rounds - k) % 2 == 0 else COLS for k in range(1, len(sides) + 1)]
 
 
 def test_trace_sides_alternate_and_end_on_rows():
@@ -55,34 +59,41 @@ def test_trace_sides_alternate_and_end_on_rows():
     g = path_graph(40)
     for r in range(9):
         out = decode(g, DecodeParams(rounds=r, t=1))
+        assert len(out.trace) == r
         assert_schedule(out.trace, r)
         assert out.residual.edge_count > 0
 
 
-@pytest.mark.parametrize("rounds", [200_000, 200_001])
-def test_idle_rounds_after_the_fixpoint_are_compact(rounds):
-    # K22 is a fixpoint at t=1: every round is a no-op record, and the long
-    # idle tail must not cost a record object per round.
-    tracemalloc.start()
-    try:
-        out = decode(K22, DecodeParams(rounds=rounds, t=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
-    assert_schedule(out.trace, rounds)
-    assert all(rec.edges_removed == 0 and rec.cleared == () for rec in out.trace)
-    assert out.rounds_executed == rounds and out.residual is K22
+@pytest.mark.parametrize("rounds", [10**18, 10**18 + 1])
+def test_trace_stops_at_the_fixpoint(rounds):
+    # K22 is a fixpoint at t=1: the first two rounds, one per side, are
+    # no-ops, and the trace ends there however many rounds are scheduled.
+    # In a child capped at 1 GiB, so that a trace of one record per round
+    # fails with MemoryError instead of taking the machine's memory.
+    code = ("import sys, tracemalloc; from peelsim import BipartiteGraph, DecodeParams, decode; "
+            "g = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]); tracemalloc.start(); "
+            "out = decode(g, DecodeParams(int(sys.argv[1]), 1)); "
+            "print(tracemalloc.get_traced_memory()[1], out.rounds_executed, out.residual is g, "
+            "[(rec.side, rec.cleared, rec.edges_removed) for rec in out.trace])")
+    proc = subprocess.run([sys.executable, "-c", code, str(rounds)], capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    peak, executed, same, trace = proc.stdout.split(maxsplit=3)
+    assert int(peak) < 100_000
+    assert int(executed) == rounds and same == "True"
+    first, second = (ROWS, COLS) if rounds % 2 else (COLS, ROWS)
+    assert trace.strip() == repr([(first, (), 0), (second, (), 0)])
 
 
 # ------------------------------------------------------------ frozen examples
 
 def test_empty_graph_succeeds():
+    # An empty graph is already a fixpoint: no round is run or recorded.
     out = decode(EMPTY, DecodeParams(rounds=1, t=1))
     assert out.success
     assert out.residual.edge_count == 0
     assert out.rounds_executed == 1
-    assert out.trace[0].edges_removed == 0 and out.trace[0].cleared == ()
+    assert out.trace == ()
 
 
 def test_k22_is_a_fixed_point():
@@ -184,14 +195,23 @@ def test_matches_reference_decoder(rounds, t):
         ok, residual, cleared, removed = ref_decode(g, rounds, t)
         assert out.success == ok
         assert frozenset(out.residual.edges()) == residual
-        assert [rec.cleared for rec in out.trace] == cleared
-        assert [rec.edges_removed for rec in out.trace] == removed
+        # The trace is the reference's run up to the fixpoint; every
+        # reference round after it is idle.
+        steps = len(out.trace)
+        assert steps == ref_fixpoint_stop(g.edge_count, removed)
+        assert_schedule(out.trace, rounds)
+        assert [rec.cleared for rec in out.trace] == cleared[:steps]
+        assert [rec.edges_removed for rec in out.trace] == removed[:steps]
+        assert not any(cleared[steps:]) and not any(removed[steps:])
+        assert out.rounds_executed == rounds
 
 
 def test_round_record_contract():
+    # At r = 4 the path's first round, on columns, is a no-op; the rows
+    # round after it clears.
     g = path_graph(4)
-    out = decode(g, DecodeParams(rounds=3, t=1))
-    assert out.trace[0].cleared and out.trace[-1].cleared == ()  # a clearing round and a no-op
+    out = decode(g, DecodeParams(rounds=4, t=1))
+    assert out.trace[0].cleared == () and out.trace[1].cleared  # a no-op and a clearing round
     for rec in out.trace:
         built = RoundRecord(rec.side, tuple(rec.cleared), rec.edges_removed)
         assert type(rec.cleared) is tuple
@@ -206,10 +226,10 @@ def test_round_record_contract():
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.edges_removed = 0
     # Fresh decodes compare and hash equal to the first.
-    again = decode(g, DecodeParams(rounds=3, t=1))
+    again = decode(g, DecodeParams(rounds=4, t=1))
     assert again.trace == out.trace
-    assert hash(decode(g, DecodeParams(rounds=3, t=1)).trace) == hash(out.trace)
-    fresh = decode(g, DecodeParams(rounds=3, t=1)).trace[0]
+    assert hash(decode(g, DecodeParams(rounds=4, t=1)).trace) == hash(out.trace)
+    fresh = decode(g, DecodeParams(rounds=4, t=1)).trace[1]
     assert repr(fresh) == "RoundRecord(side='rows', cleared=(0, 2), edges_removed=2)"
 
 
@@ -246,19 +266,14 @@ def test_fixpoint_matches_reference_decoder():
 
 
 def test_fixpoint_stops_after_an_idle_pair_or_when_empty():
-    # The trace ends on the round that empties the graph, or else after the
-    # first row+column pair that removed nothing (never in mid-pair); a
+    # The trace ends on the round that empties the graph, or else on the
+    # second of two rounds in a row, one per side, that removed nothing; a
     # longer reference run places that stop independently.
     for t in (1, 2):
         for g in corpus(200, seed=29, max_side=7) + [mid_size_graph(t, 29)]:
             fix = decode_fixpoint(g, t)
             _, _, _, removed = ref_decode(g, 2 * len(fix.trace) + 3, t)
-            live, stop = g.edge_count, 0
-            while live and not (stop >= 2 and stop % 2 == 0
-                                and removed[stop - 2] == removed[stop - 1] == 0):
-                live -= removed[stop]
-                stop += 1
-            assert len(fix.trace) == stop
+            assert len(fix.trace) == ref_fixpoint_stop(g.edge_count, removed) < len(removed)
 
 
 # ------------------------------------------------------------------- engine

@@ -216,6 +216,10 @@ def test_wilson_validation():
         wilson_interval(7, 5)
     with pytest.raises(ValueError):
         wilson_interval(1, 5, confidence=1.0)
+    # 0.5 + confidence / 2 rounds to 1.0, whose normal quantile is infinite.
+    with pytest.raises(ValueError, match="confidence must lie in"):
+        wilson_interval(1, 5, confidence=1 - 2**-53)
+    assert wilson_interval(1, 5, confidence=1 - 2**-52)[0] > 0.0
 
 
 # ------------------------------------------------------------ spec validation
@@ -518,6 +522,38 @@ def test_error_in_the_callers_share_stops_the_workers(monkeypatch, tmp_path):
 
 
 @needs_fork
+def test_late_error_in_a_worker_stops_the_other_workers(monkeypatch, tmp_path):
+    # Three shares of 40 trials.  The caller's trials are quick, so it has
+    # run its share and waits on share 1's result when share 1 fails, after
+    # 0.3 s; each of share 2's trials takes 0.1 s, so its share alone takes
+    # 4 s.  The failed result sets the stop event, so share 2 ends at its
+    # next trial and the error comes out at once.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    spec = _single_point(120)
+    share = {trial_seed(spec.master_seed, 0, i, 120): i % 3 for i in range(120)}
+    ran = tmp_path / "ran"
+    ran.touch()
+
+    def trial(*args):
+        if share[args[-1]] == 1:
+            time.sleep(0.3)
+            raise RuntimeError("trial failed in share 1")
+        if share[args[-1]] == 2:
+            with open(ran, "a") as fh:
+                fh.write("trial\n")
+            time.sleep(0.1)
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="trial failed in share 1"):
+        run_sweep(spec, workers=3)
+    assert time.perf_counter() - start < 1.0
+    assert len(ran.read_text().split()) < 5  # of share 2's 40
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
     # The worker dies at its first trial, as under the OOM killer, while
     # each of the caller's trials waits for that death and then takes a
@@ -809,6 +845,15 @@ def test_load_spec_rejects_bool_numbers(field):
     raw = {**JSON_SPEC, field: [True] if field.endswith("_values") else True}
     with pytest.raises(ValueError, match=f"{field} must be a number"):
         load_spec(json.dumps(raw))
+
+
+def test_load_spec_refuses_a_confidence_with_an_infinite_quantile():
+    # At 1 - 2**-53, 0.5 + confidence / 2 rounds to 1.0: refused when the
+    # spec is loaded, not when the first interval is computed.
+    with pytest.raises(ValueError, match="confidence must lie in"):
+        load_spec(json.dumps({**JSON_SPEC, "confidence": 1 - 2**-53}))
+    with pytest.raises(ValueError, match="confidence must lie in"):
+        load_spec(KV_SPEC + "confidence = 0.9999999999999999\n")
 
 
 @pytest.mark.parametrize("field,bad", [

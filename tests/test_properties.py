@@ -29,7 +29,7 @@ from peelsim import (
 from peelsim import experiment
 from peelsim.decode import COLS, ROWS
 
-from helpers import complete_graph, mask_to_graph, naive_tree_count, ref_decode
+from helpers import complete_graph, mask_to_graph, naive_tree_count, ref_decode, ref_fixpoint_stop
 
 fixed = settings(derandomize=True, database=None, deadline=None)
 
@@ -62,10 +62,15 @@ def test_decode_matches_reference(t, g, rounds):
     ok, residual, cleared, removed = ref_decode(g, rounds, t)
     assert out.success == ok
     assert frozenset(out.residual.edges()) == residual
+    # The trace is the schedule up to the fixpoint, and every reference
+    # round after it is idle.
+    steps = len(out.trace)
+    assert steps == ref_fixpoint_stop(g.edge_count, removed) <= rounds
     assert [rec.side for rec in out.trace] == [
-        ROWS if (rounds - k) % 2 == 0 else COLS for k in range(1, rounds + 1)]
-    assert [rec.cleared for rec in out.trace] == cleared
-    assert [rec.edges_removed for rec in out.trace] == removed
+        ROWS if (rounds - k) % 2 == 0 else COLS for k in range(1, steps + 1)]
+    assert [rec.cleared for rec in out.trace] == cleared[:steps]
+    assert [rec.edges_removed for rec in out.trace] == removed[:steps]
+    assert not any(cleared[steps:]) and not any(removed[steps:])
     assert out.rounds_executed == rounds
 
 
@@ -83,8 +88,8 @@ def test_fixpoint_matches_reference(t, g):
     assert [rec.cleared for rec in fix.trace] == cleared[:steps]
     assert [rec.edges_removed for rec in fix.trace] == removed[:steps]
     assert not any(removed[steps:])
-    # The run ends once the graph is empty or after a whole idle pair.
-    assert fix.success or (steps % 2 == 0 and steps >= 2 and removed[steps - 2:steps] == [0, 0])
+    # The run ends once the graph is empty or after two idle rounds in a row.
+    assert steps == ref_fixpoint_stop(g.edge_count, removed) < len(removed)
     assert fix.rounds_executed == max((k for k, m in enumerate(removed, start=1) if m), default=0)
 
 
