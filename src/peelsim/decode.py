@@ -158,8 +158,8 @@ class _MaskEngine:
             removed = live - int(np.count_nonzero(keep))
             if removed:
                 if removed == live:
-                    # Fresh arrays: a zero-length view would keep g's
-                    # buffers alive through the residual.
+                    # Every live edge went: two empty arrays spare the two
+                    # selections over the whole mask.
                     self.u, self.v = np.empty(0, np.int64), np.empty(0, np.int64)
                 else:
                     self.u, self.v = self.u[keep], self.v[keep]

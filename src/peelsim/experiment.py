@@ -281,7 +281,7 @@ def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
     """Trials g = first, first + step, ... of the point-major sequence
     g = point_index * trials_per_point + trial_index, in order, as four
     integer sums per point: successes, one-round successes, residual edges,
-    fixpoint rounds.  After each point it raises the error of any failed
+    fixpoint rounds.  Before each trial it raises the error of any failed
     future; in a worker, it returns before its next trial once the stop
     event is set, and the caller, which set it, drops the short sums."""
     tpp = spec.trials_per_point
@@ -292,6 +292,11 @@ def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
         for trial_index in range((first - task["point_index"] * tpp) % step, tpp, step):
             if _stop is not None and _stop.is_set():
                 return per_point
+            # done() only takes the future's lock, so checking per trial is
+            # cheap; the serial path has no futures.
+            for future in futures:
+                if future.done():
+                    future.result()
             seed = trial_seed(spec.master_seed, task["point_index"], trial_index, tpp)
             rec = run_trial(task["n"], task["p"], params, seed)
             sums[0] += rec.success
@@ -299,9 +304,6 @@ def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
             sums[2] += rec.residual_edges
             sums[3] += rec.fixpoint_rounds
         per_point.append(sums)
-        for future in futures:
-            if future.done():
-                future.result()
     return per_point
 
 
@@ -370,7 +372,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     to this process) processes, the calling one included: procs - 1 are forked, and
     with one process none is.  Process j runs trials j, j + procs, ... of
     the point-major sequence (see _run_share); the calling process runs
-    share 0 and raises a failed worker's error after each point.  Integer
+    share 0 and raises a failed worker's error before its next trial.  Integer
     sums per point are added over the shares, so the result does not depend
     on who ran a trial, and with one process run_trial is called in
     point-major, trial-ascending order.  If the caller's share or a

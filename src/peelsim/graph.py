@@ -78,8 +78,8 @@ class BipartiteGraph:
     def _init_sorted(self, n_left, n_right, u, v):
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
-        u.flags.writeable = False
-        v.flags.writeable = False
+        u.setflags(write=False)
+        v.setflags(write=False)
         self.n_left = n_left
         self.n_right = n_right
         self.u = u
@@ -238,18 +238,22 @@ def _integer(value, minimum: int, message: str) -> int:
 
 def _keyed_generator(seed: int) -> np.random.Generator:
     # Building Philox(key=seed) would also draw OS entropy for a SeedSequence
-    # that a keyed generator never reads.
+    # that a keyed generator never reads.  Each thread keeps its generator
+    # and the state dict that re-keys it; only the key changes per call.
     gen = getattr(_local, "gen", None)
     if gen is None:
         gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (seed, 0)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        _local.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": (0, 0)},
+            "buffer": _ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    state = _local.state
+    state["state"]["key"] = (seed, 0)
+    gen.bit_generator.state = state
     return gen
 
 
@@ -276,18 +280,20 @@ def _skip_sample(gen, n_cells: int, p: float) -> np.ndarray:
         np.negative(x, out=x)
         np.log1p(x, out=x)
         x /= log_q
-        # The quotient is >= 0, so the unsafe cast truncates it to its floor;
-        # the gaps overwrite the quotients in place.
-        gaps = np.minimum(x, top, out=x.view(np.int64), casting="unsafe")
+        # The quotient is finite and >= 0, so the cast truncates it to its
+        # floor.  Clamping in float64 first keeps the cast unbuffered.
+        np.minimum(x, top, out=x)
+        gaps = x.astype(np.int64)
         gaps += 1
         for start in range(0, gaps.size, step):
-            # The gaps become positions; they increase strictly.
+            # The gaps become positions; they increase strictly.  The ufunc
+            # method and the ndarray method skip numpy's dispatch wrappers.
             block = gaps[start:start + step]
             block[0] += pos
-            np.cumsum(block, out=block)
+            np.add.accumulate(block, out=block)
             pos = int(block[-1])
             if pos >= n_cells:
-                gaps = gaps[:start + int(np.searchsorted(block, n_cells))]
+                gaps = gaps[:start + int(block.searchsorted(n_cells))]
                 break
         chunks.append(gaps)
     # One batch nearly always suffices.

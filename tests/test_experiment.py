@@ -585,6 +585,39 @@ def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+@needs_fork
+def test_failed_worker_stops_the_callers_share_within_a_point(monkeypatch, tmp_path):
+    # One point of 80 trials.  The worker raises at its first trial, and
+    # each of the caller's 40 trials takes 0.05 s once that has happened:
+    # checked only after the point, the sweep would run all 40 of them,
+    # for 2 s, before it failed.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+    failed = tmp_path / "failed"
+    ran = []
+
+    def trial(*args):
+        if os.getpid() != caller:
+            failed.touch()
+            raise RuntimeError("trial failed in the worker")
+        for _ in range(600):  # the worker fails within 30 s, or the test fails
+            if failed.exists():
+                break
+            time.sleep(0.05)
+        time.sleep(0.05)
+        ran.append(args[-1])
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="trial failed in the worker"):
+        run_sweep(_single_point(80), workers=2)
+    assert time.perf_counter() - start < 1.0
+    assert failed.exists()
+    assert 1 <= len(ran) < 5  # of the caller's 40
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
 def test_sweep_rejects_bad_worker_counts(workers):
     with pytest.raises(ValueError, match="workers"):

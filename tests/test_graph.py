@@ -253,6 +253,16 @@ def test_sampled_ids_are_in_range(n, p):
         assert (g.u * n + g.v).tolist() == ref_skip_cells(n * n, p, seed, 4096)
 
 
+@pytest.mark.parametrize("seed", [7860, 36976])
+def test_sample_carries_the_position_into_a_second_batch(seed):
+    # The first batch draws int(10**4 + 4 * sqrt(10**4 + 1)) + 16 = 10416
+    # gaps; these seeds draw more edges than that, so the sample continues
+    # in a second batch from the last position of the first.
+    g = sample_bipartite(1000, 1000, 0.01, seed)
+    assert g.edge_count > 10416
+    assert (g.u * 1000 + g.v).tolist() == ref_skip_cells(10**6, 0.01, seed, 12000)
+
+
 def test_sample_refuses_grids_past_2_61_cells():
     with pytest.raises(ValueError, match="more than 2\\*\\*61 cells"):
         sample_bipartite(2**32, 2**32, 1e-19, 1)
