@@ -91,10 +91,12 @@ class BipartiteGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         # Edges are sorted by (u, v): find i's run in u, then j within it.
-        lo = np.searchsorted(self.u, i, side="left")
-        hi = np.searchsorted(self.u, i, side="right")
-        k = lo + np.searchsorted(self.v[lo:hi], j)
-        return bool(k < hi and self.v[k] == j)
+        # The ndarray methods skip numpy's dispatch wrappers.
+        u, v = self.u, self.v
+        lo = u.searchsorted(i, side="left")
+        hi = u.searchsorted(i, side="right")
+        k = lo + v[lo:hi].searchsorted(j)
+        return bool(k < hi and v[k] == j)
 
     def edges(self):
         """Iterate edges as (left, right) int pairs in canonical order."""

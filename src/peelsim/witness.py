@@ -62,7 +62,9 @@ def verify_config(g: BipartiteGraph, cfg: UndecodableConfig, r: int, t: int) -> 
     layers, both ends of every edge in some layer, every edge in g, and
     every vertex of level k >= 1 (layer r - k) with more than t
     certificate neighbors of level >= k - 1.  Anything else returns False;
-    indices outside g's ranges raise.  Costs O(edges of cfg).
+    indices outside g's ranges raise.  Each edge of cfg is looked up in g
+    by binary search, so it costs O(|H| log |E|) for H the edges of cfg
+    and E those of g.
     """
     r = _integer(r, 0, "r must be a non-negative integer, got {!r}")
     t = _integer(t, 0, "t must be a non-negative integer, got {!r}")
@@ -119,19 +121,29 @@ def _edge(x, y, n_left):
 
 
 def _survival_sets(adj, r: int, t: int):
-    """Survival levels 0..r as vertex id sets.
+    """Survival levels 0..r as vertex id sets, up to their fixpoint.
 
-    Level 0 is every vertex with an edge; a vertex survives level k when
-    >= t+1 of its neighbors survive level k-1.  Levels shrink as k grows,
-    so level 1 is read off the degrees and each later level is taken from
-    the survivors of the one before: a vertex outside level k-1 is outside
-    level k."""
-    levels = [set(adj)]
-    if r:
-        levels.append({x for x, nbrs in adj.items() if len(nbrs) > t})
-    for _ in range(r - 1):
-        alive = levels[-1]
-        levels.append({x for x in alive if len(alive.intersection(adj[x])) > t})
+    Level 0 is every vertex with an edge (adj's own keys); a vertex
+    survives level k when >= t+1 of its neighbors survive level k-1.
+    Levels shrink as k grows, so level 1 is read off the degrees, and a
+    vertex can leave level k+1 only if a neighbor left level k: each later
+    level rechecks just the neighbors of the vertices that left the level
+    before (level 2 rechecks all of level 1).  Once no vertex leaves, every
+    deeper level is the same and the list stops, so level k is
+    levels[min(k, len(levels) - 1)], and a huge r costs no more than the
+    levels up to the fixpoint."""
+    levels = [adj.keys()]
+    if not r:
+        return levels
+    alive = {x for x, nbrs in adj.items() if len(nbrs) > t}
+    gone = None
+    while len(alive) < len(levels[-1]):
+        levels.append(alive)
+        if len(levels) > r:
+            break
+        recheck = alive if gone is None else {y for x in gone for y in adj[x] if y in alive}
+        gone = {x for x in recheck if len(alive.intersection(adj[x])) <= t}
+        alive = alive - gone
     return levels
 
 
@@ -173,14 +185,15 @@ def _certificate(g, r, t):
     n_left = g.n_left
     adj = _adjacency(g.edges(), n_left)
     levels = _survival_sets(adj, r, t)
-    root = min((x for x in levels[r] if x < n_left), default=None)
+    top = len(levels) - 1
+    root = min((x for x in levels[min(r, top)] if x < n_left), default=None)
     if root is None:
         return None
     needed = {root}
     layers = [[root]]
     edges = set()
     for k in range(r, 0, -1):
-        allowed = levels[k - 1]
+        allowed = levels[min(k - 1, top)]
         nxt = []
         for x in layers[-1]:
             nbrs = adj[x]
@@ -208,32 +221,35 @@ def count_exact_trees(g: BipartiteGraph, r: int, t: int) -> int:
     placement is counted once, i.e. embeddings that differ only by a tree
     automorphism are identified.  Exhaustive; meant for small graphs.
 
-    Only left vertices with more than t neighbors are tried as roots: the
-    root of a placement has t+1 children, so any other root adds 0.  The
-    count does not depend on the order in which candidates are tried, since
-    children are chosen as unordered sets.
+    Only left vertices that survive level r are tried as roots, and only
+    vertices that survive level r - d - 1 as children of a vertex at depth
+    d.  In a placement every vertex of depth at most r - k survives level
+    k (by induction on k: its t+1 tree neighbors have depth at most
+    r - k + 1), so it does in g too, and a pruned choice never completes.
+    The count does not depend on the order in which candidates are tried,
+    since children are chosen as unordered sets.
     """
     r = _integer(r, 1, "r must be an integer >= 1, got {!r}")
     t = _integer(t, 1, "t must be an integer >= 1, got {!r}")
     n_left = g.n_left
     adj = _adjacency(g.edges(), n_left)
-    return sum(
-        _count_placements(x, adj, r, t)
-        for x, nbrs in adj.items()
-        if x < n_left and len(nbrs) > t
-    )
+    levels = _survival_sets(adj, r, t)
+    roots = levels[min(r, len(levels) - 1)]
+    return sum(_count_placements(x, adj, levels, r, t) for x in roots if x < n_left)
 
 
-def _count_placements(root, adj, r, t):
+def _count_placements(root, adj, levels, r, t):
     # Children are chosen as unordered sets at each node, so every distinct
     # image subgraph is produced by exactly one choice sequence.  A child
-    # above depth r needs t children of its own besides its parent, so a
-    # neighbor of degree <= t is tried only as a leaf: every choice holding
-    # it as an inner vertex would count 0.  The choices are a depth-first
-    # walk kept on an explicit stack, one frame per placed inner vertex
-    # [x, depth, its remaining child sets, the set taken now], so deep
-    # trees need no Python recursion.  pending holds the placed vertices
-    # whose children are not yet chosen, in breadth-first order.
+    # at depth d + 1 must survive level r - d - 1 (see count_exact_trees;
+    # levels past the list's end equal its last), so a leaf may be any
+    # neighbor.  The choices are a depth-first walk kept on an explicit
+    # stack, one frame per placed inner vertex [x, depth, its remaining
+    # child sets, the set taken now], so deep trees need no Python
+    # recursion.  pending holds the placed vertices whose children are not
+    # yet chosen, in breadth-first order.
+    top = len(levels)
+    deepest = levels[-1]
     pending = deque([(root, 0)])
     used = {root}
     frames = []
@@ -241,8 +257,9 @@ def _count_placements(root, adj, r, t):
     while True:
         if pending:
             x, depth = pending.popleft()
-            leaf = depth + 1 == r
-            cands = [y for y in adj[x] if y not in used and (leaf or len(adj[y]) > t)]
+            need = r - depth - 1
+            allowed = levels[need] if need < top else deepest
+            cands = [y for y in adj[x] if y not in used and y in allowed]
             frames.append([x, depth, combinations(cands, t + 1 if depth == 0 else t), None])
         else:
             count += 1

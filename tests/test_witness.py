@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from peelsim import (
 )
 
 from helpers import (
+    cap_address_space,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -363,6 +366,26 @@ def test_count_on_long_paths(rows, r, count):
     # default recursion limit at r = 600.
     g = BipartiteGraph(rows, rows, [(i, j) for i in range(rows) for j in (i - 1, i) if j >= 0])
     assert count_exact_trees(g, r, 1) == count
+
+
+def test_huge_round_counts_stop_at_the_fixpoint():
+    # The survival levels stop once no vertex leaves: a path's levels empty
+    # after as many levels as it has rows, and K22 keeps every vertex from
+    # level 0 on, so r = 10**9 returns at once.  The K22 count reads the
+    # deepest level below every placed vertex; a level loop that ran to r
+    # would run 10**9 times there.  In a child capped at 1 GiB, so that
+    # levels kept up to r fail with MemoryError instead of taking the
+    # machine's memory.
+    code = ("from peelsim import BipartiteGraph, DecodeParams, count_exact_trees, extract_config, find_config; "
+            "rows, r = 650, 10**9; "
+            "path = BipartiteGraph(rows, rows, [(i, j) for i in range(rows) for j in (i - 1, i) if j >= 0]); "
+            "k22 = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]); "
+            "print(find_config(path, r, 1), extract_config(path, DecodeParams(r, 1)), "
+            "count_exact_trees(k22, r, 1))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None", "None", "0"]
 
 
 def test_count_validation():
