@@ -18,8 +18,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from .decode import DecodeParams, decode, decode_fixpoint
 from .experiment import load_spec, run_sweep, write_results
@@ -149,12 +149,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    # OSError includes the ChildProcessError of a sweep's dead pool worker.
     except (ValueError, OSError, MemoryError) as exc:
         print(f"peelsim {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
-    except BrokenExecutor:  # a sweep's pool worker was killed, say by the OOM killer
-        print(f"peelsim {args.command}: a worker process died before finishing its trials",
-              file=sys.stderr)
         return 2
 
 
@@ -273,7 +270,22 @@ def _fmt_theory(v):
     return str(v)
 
 
+def _check_output(path: str):
+    """Refuse an output path that cannot be written, before any work is
+    done: a directory, or a file in a directory that does not exist.  The
+    file is not opened here, so an existing one keeps its bytes if the work
+    then fails."""
+    if os.path.isdir(path):
+        raise ValueError(f"--output {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--output {path!r}: no such directory {parent!r}")
+
+
 def _cmd_sweep(args) -> int:
+    # A sweep can run for hours, so its output path is checked first.
+    if args.output is not None:
+        _check_output(args.output)
     overrides = {
         "mode": args.mode,
         "n_values": args.n_values,

@@ -15,12 +15,9 @@ import contextlib
 import ctypes
 import json
 import math
-import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from statistics import NormalDist
 
 # decode and decode_fixpoint are not called here, but stay importable from
 # this module: the benchmark's traced replay (perfbench/workloads.py) wraps
@@ -377,7 +374,12 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     on who ran a trial, and with one process run_trial is called in
     point-major, trial-ascending order.  If the caller's share or a
     worker's result raises, the caller sets the stop event, so each worker
-    ends at its next trial; no pool process outlives the call.
+    ends at its next trial; no pool process outlives the call.  A worker
+    that dies, say under the OOM killer, breaks the pool, which is raised
+    as ChildProcessError from the pool's BrokenExecutor.
+
+    multiprocessing and concurrent.futures are imported only when a sweep
+    first forks, so a process that never forks never loads them.
 
     Every process that runs trials keeps freed trial arrays resident: the
     pool's workers, and the calling process, whose glibc mmap and trim
@@ -386,20 +388,27 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
     procs = min(workers, _available_cpus(), len(points) * spec.trials_per_point)
-    stop = multiprocessing.Event() if procs > 1 else None
     # With one process, range(1, procs) is empty: nothing is submitted to
     # the null context that stands in for the pool.
-    pool = (ProcessPoolExecutor(max_workers=procs - 1, initializer=_start_worker, initargs=(stop,))
-            if procs > 1 else contextlib.nullcontext())
+    stop = None
+    pool = contextlib.nullcontext()
+    if procs > 1:
+        import multiprocessing
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        stop = multiprocessing.Event()
+        pool = ProcessPoolExecutor(max_workers=procs - 1, initializer=_start_worker, initargs=(stop,))
     with pool:
         futures = [pool.submit(_run_share, spec, points, j, procs) for j in range(1, procs)]
         _keep_heap_resident()
         try:
             shares = [_run_share(spec, points, 0, procs, futures)]
             shares += [future.result() for future in futures]
-        except BaseException:
+        except BaseException as exc:
             if stop is not None:
                 stop.set()
+                if isinstance(exc, BrokenExecutor):
+                    raise ChildProcessError("a worker process died before finishing its trials") from exc
             raise
     return tuple(_estimate(spec, task, map(sum, zip(*sums))) for task, *sums in zip(points, *shares))
 
@@ -416,6 +425,10 @@ def _quantile_point(confidence: float) -> float:
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    # Imported here, where it is used, so that a process that finishes no
+    # point does not load statistics (with decimal and fractions).
+    from statistics import NormalDist
+
     trials = _integer(trials, 1, "trials must be an integer >= 1, got {!r}")
     successes = _integer(successes, 0, "successes must be a non-negative integer, got {!r}")
     if successes > trials:

@@ -265,8 +265,12 @@ def _skip_sample(gen, n_cells: int, p: float) -> np.ndarray:
     # is floor(log1p(-x) / log_q) + 1 for a uniform x.  A quotient past the
     # grid is clamped to `top`, the least float >= n_cells: every gap inside
     # the grid keeps its bits, a clamped one still lands past the grid, and
-    # the cast cannot overflow.
-    log_q = math.log1p(-p)
+    # the cast cannot overflow.  log_q is floored at -1e-300 so that the
+    # quotient stays finite (below 4e301) at a subnormal p.  A positive
+    # draw's quotient (at least 2**-53 / 1e-300) still passes every grid and
+    # is clamped to `top`, as the unfloored one was, and a zero draw still
+    # gives gap 1.
+    log_q = min(math.log1p(-p), -1e-300)
     top = float(n_cells)
     if top < n_cells:
         top = math.nextafter(top, math.inf)

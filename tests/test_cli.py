@@ -400,6 +400,38 @@ def test_sweep_output_file(capsys, tmp_path):
     assert target.read_text().startswith(CSV_COLUMNS)
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "results.csv/out.csv", "."],
+                         ids=["missing-dir", "file-as-dir", "directory"])
+def test_sweep_refuses_an_unwritable_output_before_any_trial(capsys, tmp_path, monkeypatch, target):
+    # Found only at the write, such a path would cost the whole sweep.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("peelsim.cli.run_sweep", no_sweep)
+    (tmp_path / "results.csv").write_text("kept\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg),
+                                      "--output", str(tmp_path / target)])
+    assert code == 2 and out == ""
+    assert err.startswith("peelsim sweep: --output ") and err.count("\n") == 1
+    assert (tmp_path / "results.csv").read_text() == "kept\n"
+
+
+def test_sweep_that_fails_keeps_an_existing_output(capsys, tmp_path, monkeypatch):
+    def failing_sweep(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("peelsim.cli.run_sweep", failing_sweep)
+    target = tmp_path / "results.csv"
+    target.write_text("kept\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--output", str(target)])
+    assert code == 2 and out == "" and err == "peelsim sweep: out of memory\n"
+    assert target.read_text() == "kept\n"
+
+
 def test_sweep_bad_spec(capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("mode = CONSTANT_T_SWEEP\nbogus = 1\n")
@@ -584,3 +616,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "edges=2 " in proc.stdout
+
+
+# ------------------------------------------------------------ import footprint
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures", "statistics")
+ONE_POINT = "mode=SINGLE_POINT\nn_values=20\nr=1\nt=1\nc_values=1\ntrials_per_point=2\n"
+
+
+def loaded_after(code):
+    """Which of POOL_MODULES a fresh interpreter has loaded once it has run
+    code."""
+    probe = f"{code}\nimport sys; print(sorted(set({POOL_MODULES!r}) & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_loading_a_spec_loads_no_pool_and_no_statistics():
+    assert loaded_after(f"import peelsim; peelsim.load_spec({ONE_POINT!r})") == "[]"
+
+
+@pytest.mark.parametrize("code", [
+    f"import peelsim; peelsim.run_sweep(peelsim.load_spec({ONE_POINT!r}))",
+    "from peelsim.cli import main; main(['theory', '-r', '1', '-t', '1'])",
+], ids=["serial-sweep", "theory"])
+def test_a_process_that_never_forks_loads_no_pool(code):
+    loaded = loaded_after(code)
+    assert "multiprocessing" not in loaded and "concurrent" not in loaded
+
+
+def test_a_forking_sweep_loads_the_pool():
+    code = ("import peelsim, peelsim.experiment as e; e._available_cpus = lambda: 2; "
+            f"e.run_sweep(peelsim.load_spec({ONE_POINT!r}), workers=2)")
+    assert loaded_after(code) == "['concurrent.futures', 'multiprocessing', 'statistics']"

@@ -349,7 +349,7 @@ class _FakePool:
 @pytest.fixture
 def fake_pool(monkeypatch):
     _FakePool.made = []
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
     return _FakePool.made
 
 
@@ -578,8 +578,9 @@ def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
 
     monkeypatch.setattr(experiment, "run_trial", trial)
     spec = dataclasses.replace(SMALL_SWEEP, n_values=(8, 16, 24), trials_per_point=2)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(ChildProcessError) as info:
         run_sweep(spec, workers=2)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
     assert died.exists()
     assert 1 <= len(ran) < 6
     assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,31 @@ def test_sampled_ids_are_in_range(n, p):
         assert g.u.min(initial=0) >= 0 and g.u.max(initial=0) < n
         assert g.v.min(initial=0) >= 0 and g.v.max(initial=0) < n
         assert (g.u * n + g.v).tolist() == ref_skip_cells(n * n, p, seed, 4096)
+
+
+# Below about 2e-307, log1p(-x) / log1p(-p) overflows to inf for every
+# positive draw x.
+@pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-310, 2e-307, 1e-305, 1e-301, 1e-300, 3e-300])
+def test_sample_at_tiny_p_is_quiet_and_keeps_its_cells(p):
+    # The reference divides by the unfloored log1p(-p), lets the quotient
+    # overflow and clamps it at the grid; the sampler must give the same
+    # cells without a warning.  At such a p a batch draws 20 uniforms.
+    for n_left, n_right in [(1, 1), (4, 4), (1000, 1000), (2**61, 1)]:
+        n_cells = n_left * n_right
+        for seed in range(200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = sample_bipartite(n_left, n_right, p, seed)
+            with np.errstate(over="ignore"):
+                x = np.random.Generator(np.random.Philox(key=seed)).random(20)
+                quotients = np.log1p(-x) / np.log1p(-p)
+            cells, pos = [], -1
+            for q in quotients.tolist():
+                pos += int(min(q, n_cells)) + 1
+                if pos >= n_cells:
+                    break
+                cells.append(pos)
+            assert (g.u * n_right + g.v).tolist() == cells
 
 
 @pytest.mark.parametrize("seed", [7860, 36976])
