@@ -6,13 +6,13 @@ When the capability grows linearly with the block length (t = alpha * n),
 the threshold story collapses to a comparison of two constants.  Erase
 cells at rate p < alpha and a single row round almost surely finishes the
 job; at p > alpha even unlimited rounds almost surely stall.  This script
-shows the cliff and the Chernoff bounds that guarantee it.
+shows the cliff and, below it, the exact chance that a row is too heavy
+for one round.
 """
 
-from peelsim import (
-    LINEAR_REGIME_SWEEP, ExperimentSpec, chernoff_upper,
-    linear_regime_prediction, run_sweep,
-)
+import math
+
+from peelsim import LINEAR_REGIME_SWEEP, ExperimentSpec, linear_regime_prediction, run_sweep
 
 alpha = 0.3
 n = 500
@@ -35,9 +35,12 @@ print("the verdicts are limits: close to the cliff (p=0.25 here) the finite-n")
 print("rate is still climbing toward 1, and it sharpens as n grows")
 print()
 
-# The prediction is not just asymptotic hand-waving: a row's degree is a
-# sum of n indicators with mean p * n, and crossing alpha * n means a
-# relative deviation of alpha/p - 1, which Chernoff makes exponentially rare.
+# The prediction is not just asymptotic hand-waving: a row's degree is
+# Bin(n, p), and one row round clears every row unless some row holds more
+# than t = floor(alpha * n) erasures.  That tail is exact, and n times it
+# bounds the chance that any row does.
+t = math.floor(alpha * n)
 for p in (0.2, 0.25):
-    bounds = chernoff_upper(n, 1.0, p, alpha / p - 1.0)
-    print(f"p={p:.2f}: P(a given row exceeds capability) <= {bounds.upper_tail:.3e}")
+    tail = sum(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(t + 1, n + 1))
+    print(f"p={p:.2f}: P(a given row exceeds capability) = {tail:.3e}, "
+          f"P(any of the {n} rows does) <= {min(1.0, n * tail):.3e}")

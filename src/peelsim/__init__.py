@@ -40,11 +40,9 @@ from .theory import (
     AT_THRESHOLD,
     DECODABLE_ONE_ROUND,
     UNDECODABLE_ALL_ROUNDS,
-    ChernoffBounds,
     TreeStats,
     asymptotic_success,
     build_exact_tree,
-    chernoff_upper,
     expected_tree_count,
     linear_regime_prediction,
     threshold_p,
@@ -67,7 +65,6 @@ __all__ = [
     "BipartiteGraph",
     "CONSTANT_T_SWEEP",
     "CSV_COLUMNS",
-    "ChernoffBounds",
     "DECODABLE_ONE_ROUND",
     "DecodeOutcome",
     "DecodeParams",
@@ -82,7 +79,6 @@ __all__ = [
     "UndecodableConfig",
     "asymptotic_success",
     "build_exact_tree",
-    "chernoff_upper",
     "count_exact_trees",
     "decode",
     "decode_fixpoint",

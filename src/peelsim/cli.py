@@ -5,11 +5,12 @@ Subcommands: gen (sample a pattern), decode (peel a pattern), detect
 sweep (Monte Carlo).  Each takes only the flags it reads.  Exit codes: 0
 on success, 1 when --strict decoding fails, 2 on usage errors (argparse
 rejects unknown flags, bad choices and conflicting or missing flag
-pairs), on input-format errors, on inputs too large to fit in memory, on
-a sweep worker process that dies and on theory tables of more than
-10,000 rows.  Only gen and sweep draw random numbers, and all of them
-flow from --seed (gen: default 0; sweep: the spec's master_seed, default
-0); nothing reads the clock.
+pairs), on an --output path in a missing directory or naming a directory
+(checked before any work), on input-format errors, on inputs too large
+to fit in memory, on a sweep worker process that dies and on theory
+tables of more than 10,000 rows.  Only gen and sweep draw random
+numbers, and all of them flow from --seed (gen: default 0; sweep: the
+spec's master_seed, default 0); nothing reads the clock.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }[args.command]
     try:
+        # A sweep can run for hours, so every output path is checked first.
+        if args.output is not None:
+            _check_output(args.output)
         return handler(args)
     # OSError includes the ChildProcessError of a sweep's dead pool worker.
     except (ValueError, OSError, MemoryError) as exc:
@@ -283,9 +287,6 @@ def _check_output(path: str):
 
 
 def _cmd_sweep(args) -> int:
-    # A sweep can run for hours, so its output path is checked first.
-    if args.output is not None:
-        _check_output(args.output)
     overrides = {
         "mode": args.mode,
         "n_values": args.n_values,

@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .graph import BipartiteGraph, _integer
 
 __all__ = [
     "AT_THRESHOLD",
-    "ChernoffBounds",
     "DECODABLE_ONE_ROUND",
     "TreeStats",
     "UNDECODABLE_ALL_ROUNDS",
     "asymptotic_success",
     "build_exact_tree",
-    "chernoff_upper",
     "expected_tree_count",
     "linear_regime_prediction",
     "threshold_p",
@@ -207,30 +204,6 @@ def _stirling_tail(x: int) -> float:
     # log(x!) - (x + 1/2) log(x) + x - log(2 pi) / 2, to three terms.
     x2 = float(x) * x
     return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
-
-
-class ChernoffBounds(NamedTuple):
-    upper_tail: float
-    lower_tail: float
-
-
-def chernoff_upper(n: int, delta: float, mu: float, eps: float) -> ChernoffBounds:
-    """Tail bounds for a sum of n independent variables, each in [0, delta],
-    whose mean is mu * n: the sum exceeds (1 + eps) * mu * n with probability
-    below exp(-eps^2 * mu * n / (3 delta)), and falls below (1 - eps) * mu * n
-    with probability below exp(-eps^2 * mu * n / (2 delta))."""
-    n = _integer(n, 1, "n must be an integer >= 1, got {!r}")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    try:
-        base = eps * eps * mu * n / delta
-    except OverflowError:
-        raise _n_too_large(n) from None
-    return ChernoffBounds(math.exp(-base / 3.0), math.exp(-base / 2.0))
 
 
 def _n_too_large(n: int) -> ValueError:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .decode import DecodeParams
-from .graph import BipartiteGraph, _integer
+from .graph import BipartiteGraph, _integer, serialize_graph
 
 __all__ = [
     "UndecodableConfig",
@@ -389,14 +389,12 @@ def serialize_config(cfg: UndecodableConfig, n_left: int, n_right: int) -> str:
     """Line-oriented witness format.
 
     Header: 'root <v>', 'layers <count>', then one 'layer <i> <indices...>'
-    line per layer (indices ascending).  Body: the canonical edge-list
-    format over the host dimensions, covering the configuration's edges.
+    line per layer (indices ascending).  Body: serialize_graph of the
+    configuration's edges over the host dimensions, so an edge outside
+    them raises ValueError.
     """
     lines = [f"root {cfg.root}", f"layers {len(cfg.layers)}"]
     for depth, layer in enumerate(cfg.layers):
         idx = " ".join(str(x) for x in sorted(layer))
         lines.append(f"layer {depth} {idx}".rstrip())
-    edges = sorted(cfg.edges)
-    lines.append(f"{n_left} {n_right} {len(edges)}")
-    lines.extend(f"{i} {j}" for i, j in edges)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + serialize_graph(BipartiteGraph(n_left, n_right, cfg.edges))

@@ -418,6 +418,34 @@ def test_sweep_refuses_an_unwritable_output_before_any_trial(capsys, tmp_path, m
     assert (tmp_path / "results.csv").read_text() == "kept\n"
 
 
+# command: (its arguments but --output, the function that does its work)
+OUTPUT_COMMANDS = {
+    "gen": (["-n", "4", "-p", "0"], "sample_bipartite"),
+    "decode": (["--edges", "{edges}", "-r", "1", "-t", "1"], "decode"),
+    "detect": (["--edges", "{edges}", "--kind", "cycle"], "find_short_cycle"),
+    "theory": (["-r", "1", "-t", "1"], "tree_stats"),
+}
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "results.txt/out.txt", "."],
+                         ids=["missing-dir", "file-as-dir", "directory"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_every_command_refuses_an_unwritable_output_before_any_work(
+        capsys, tmp_path, monkeypatch, k22_edges, command, target):
+    flags, worker = OUTPUT_COMMANDS[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{worker} ran")
+
+    monkeypatch.setattr(f"peelsim.cli.{worker}", no_work)
+    (tmp_path / "results.txt").write_text("kept\n")
+    argv = [command, *(f.format(edges=k22_edges) for f in flags), "--output", str(tmp_path / target)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"peelsim {command}: --output ") and err.count("\n") == 1
+    assert (tmp_path / "results.txt").read_text() == "kept\n"
+
+
 def test_sweep_that_fails_keeps_an_existing_output(capsys, tmp_path, monkeypatch):
     def failing_sweep(*args, **kwargs):
         raise MemoryError

@@ -16,7 +16,6 @@ from peelsim import (
     ExperimentSpec,
     asymptotic_success,
     build_exact_tree,
-    chernoff_upper,
     count_exact_trees,
     decode_fixpoint,
     expected_tree_count,
@@ -60,7 +59,6 @@ SITES = {
     "expected_tree_count n": (lambda x: expected_tree_count(x, 0.1, 2, 2), 100),
     "expected_tree_count r": (lambda x: expected_tree_count(100, 0.1, x, 2), 2),
     "expected_tree_count t": (lambda x: expected_tree_count(100, 0.1, 2, x), 2),
-    "chernoff_upper n": (lambda x: chernoff_upper(x, 1.0, 0.5, 0.1), 100),
     "run_sweep workers": (lambda x: run_sweep(SPEC, workers=x), 1),
     "DecodeParams rounds": (lambda x: DecodeParams(rounds=x, t=1).rounds, 2),
     "DecodeParams t": (lambda x: DecodeParams(rounds=2, t=x).t, 1),

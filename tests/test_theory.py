@@ -12,7 +12,6 @@ from peelsim import (
     UNDECODABLE_ALL_ROUNDS,
     asymptotic_success,
     build_exact_tree,
-    chernoff_upper,
     count_exact_trees,
     expected_tree_count,
     linear_regime_prediction,
@@ -271,35 +270,6 @@ def test_expected_count_validation():
     with pytest.raises(ValueError, match="n is too large"):
         expected_tree_count(10**400, 0.5, 1, 1)
     assert threshold_p(10**400, 1, 1) == 0.0
-
-
-# ------------------------------------------------------------------- chernoff
-
-def test_chernoff_frozen_values():
-    assert math.isclose(chernoff_upper(3, 1.0, 1.0, 1.0).upper_tail, math.exp(-1.0), rel_tol=1e-12)
-    assert math.isclose(chernoff_upper(2, 1.0, 1.0, 1.0).lower_tail, math.exp(-1.0), rel_tol=1e-12)
-
-
-def test_chernoff_bounds_shrink_with_n():
-    prev = chernoff_upper(1, 1.0, 0.5, 0.5)
-    assert prev.upper_tail <= 1.0 and prev.lower_tail <= 1.0
-    for n in (2, 4, 8, 16):
-        cur = chernoff_upper(n, 1.0, 0.5, 0.5)
-        assert cur.upper_tail < prev.upper_tail
-        assert cur.lower_tail < prev.lower_tail
-        prev = cur
-
-
-def test_chernoff_validation():
-    for bad in (
-        dict(n=0, delta=1.0, mu=1.0, eps=1.0),
-        dict(n=1, delta=0.0, mu=1.0, eps=1.0),
-        dict(n=1, delta=1.0, mu=0.0, eps=1.0),
-        dict(n=1, delta=1.0, mu=1.0, eps=0.0),
-        dict(n=10**400, delta=1.0, mu=0.5, eps=0.1),
-    ):
-        with pytest.raises(ValueError):
-            chernoff_upper(**bad)
 
 
 # ---------------------------------------------------------------- linear regime

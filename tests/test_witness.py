@@ -578,6 +578,13 @@ def test_serialize_config_k22():
     )
 
 
+@pytest.mark.parametrize("n_left, n_right", [(1, 2), (2, 1)])
+def test_serialize_config_refuses_an_edge_outside_the_host(n_left, n_right):
+    # The text would not parse back as an edge list, so none is written.
+    with pytest.raises(ValueError, match="index out of range"):
+        serialize_config(K22_CONFIG, n_left, n_right)
+
+
 # ------------------------------------------------------------------ pinned outputs
 
 # SHA-256 of the canonical text of every search result below.  It pins
