@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from .decode import DecodeParams, decode, decode_fixpoint
-from .experiment import load_spec, run_sweep, write_results
+from .experiment import ExperimentSpec, load_spec, run_sweep, write_results
 from .graph import parse_graph, parse_grid, sample_bipartite, serialize_graph
 from .theory import asymptotic_success, threshold_p, tree_stats
 from .witness import count_exact_trees, find_config, find_short_cycle, serialize_config
@@ -81,19 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     p_swp.add_argument("--config", default=None, help="spec file (JSON or key=value)")
+    # Each spec field's flag has the field's name as dest (see _cmd_sweep).
     p_swp.add_argument("--mode", default=None)
     p_swp.add_argument("--n-values", default=None, help="comma-separated")
-    p_swp.add_argument("-r", "--rounds", type=int, default=None)
+    p_swp.add_argument("-r", "--rounds", dest="r", metavar="ROUNDS", type=int, default=None)
     p_swp.add_argument("-t", type=int, default=None)
     p_swp.add_argument("--alpha", type=float, default=None)
     p_swp.add_argument("--c-values", default=None, help="comma-separated")
     p_swp.add_argument("--p-values", default=None, help="comma-separated")
-    p_swp.add_argument("--trials", type=int, default=None)
+    p_swp.add_argument("--trials", dest="trials_per_point", metavar="TRIALS", type=int, default=None)
     p_swp.add_argument("--confidence", type=float, default=None)
     p_swp.add_argument("--workers", type=_workers, default=1,
                        help="processes to run trials on, this one included (the rest are forked);"
                             " capped at the CPUs available (default 1: in-process)")
-    p_swp.add_argument("--seed", type=int, default=None, help="64-bit master seed (overrides the spec's)")
+    p_swp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None,
+                       help="64-bit master seed (overrides the spec's)")
     p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     for p in (p_dec, p_det, p_thy):
@@ -287,18 +288,7 @@ def _check_output(path: str):
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {
-        "mode": args.mode,
-        "n_values": args.n_values,
-        "r": args.rounds,
-        "t": args.t,
-        "alpha": args.alpha,
-        "c_values": args.c_values,
-        "p_values": args.p_values,
-        "trials_per_point": args.trials,
-        "master_seed": args.seed,
-        "confidence": args.confidence,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentSpec)}
     text = ""
     if args.config is not None:
         with open(args.config) as fh:

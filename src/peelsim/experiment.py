@@ -46,7 +46,13 @@ CONSTANT_T_SWEEP = "CONSTANT_T_SWEEP"
 LINEAR_REGIME_SWEEP = "LINEAR_REGIME_SWEEP"
 SINGLE_POINT = "SINGLE_POINT"
 
-_MODES = (CONSTANT_T_SWEEP, LINEAR_REGIME_SWEEP, SINGLE_POINT)
+# The value lists each mode takes; a spec gives exactly one, non-empty.
+_AXES = {
+    CONSTANT_T_SWEEP: ("c_values",),
+    LINEAR_REGIME_SWEEP: ("p_values",),
+    SINGLE_POINT: ("c_values", "p_values"),
+}
+_MODES = tuple(_AXES)
 
 # (column, PointEstimate attribute): the one table behind the CSV header,
 # the CSV rows and the JSON keys.
@@ -103,18 +109,23 @@ class TrialRecord:
 class ExperimentSpec:
     """Declarative sweep description.
 
-    CONSTANT_T_SWEEP: fixed (r, t); each point n in n_values, c in c_values
-    runs at p = c * threshold_p(n, r, t) (clamped to 1).
-    LINEAR_REGIME_SWEEP: capability scales as t = floor(alpha * n); each
-    point runs the raw erasure probabilities in p_values with r rounds.
-    SINGLE_POINT: one n and one raw p (or one c) with fixed (r, t).
+    CONSTANT_T_SWEEP: fixed t >= 1 and r >= 1; each point n in n_values, c
+    in c_values runs at p = c * threshold_p(n, r, t) (clamped to 1).
+    LINEAR_REGIME_SWEEP: alpha in (0, 1) and no t; capability scales as
+    t = floor(alpha * n), and each point runs the raw erasure
+    probabilities in p_values with r rounds.
+    SINGLE_POINT: fixed t >= 1 and r >= 1, one n and one value, a c or a
+    raw p.
+    Only LINEAR_REGIME_SWEEP takes alpha.  Exactly one of c_values and
+    p_values is given, non-empty; every c is positive and finite and every
+    p lies in [0, 1].  master_seed defaults to 0.
     """
 
     mode: str
     n_values: tuple[int, ...]
     r: int
     trials_per_point: int
-    master_seed: int
+    master_seed: int = 0
     t: int | None = None
     alpha: float | None = None
     c_values: tuple[float, ...] | None = None
@@ -145,44 +156,28 @@ class ExperimentSpec:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         _quantile_point(self.confidence)
-        if self.mode == CONSTANT_T_SWEEP:
-            self._need_r_and_t()
-            if not self.c_values or self.p_values is not None:
-                raise ValueError("CONSTANT_T_SWEEP takes c_values (and no p_values)")
-        elif self.mode == LINEAR_REGIME_SWEEP:
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"LINEAR_REGIME_SWEEP needs alpha in (0, 1), got {self.alpha!r}")
-            if self.t is not None:
-                raise ValueError("LINEAR_REGIME_SWEEP derives t from alpha; do not pass t")
-            if not self.p_values or self.c_values is not None:
-                raise ValueError("LINEAR_REGIME_SWEEP takes p_values (and no c_values)")
-            if any(not 0.0 <= p <= 1.0 for p in self.p_values):
-                raise ValueError("every p must lie in [0, 1]")
-        else:  # SINGLE_POINT
-            self._need_r_and_t()
-            if len(self.n_values) != 1:
-                raise ValueError("SINGLE_POINT takes exactly one n")
-            have_c = self.c_values is not None
-            have_p = self.p_values is not None
-            if have_c == have_p:
-                raise ValueError("SINGLE_POINT takes exactly one of c_values or p_values")
-            values = self.c_values if have_c else self.p_values
-            if len(values) != 1:
-                raise ValueError("SINGLE_POINT takes exactly one c or p value")
-            if have_p and not 0.0 <= self.p_values[0] <= 1.0:
-                raise ValueError("p must lie in [0, 1]")
+        # Capability: a fraction alpha of n, or a constant t, for which
+        # threshold_p and asymptotic_success need r, t >= 1.
+        if self.mode == LINEAR_REGIME_SWEEP:
+            if self.t is not None or self.alpha is None or not 0.0 < self.alpha < 1.0:
+                raise ValueError(f"{self.mode} takes alpha in (0, 1) and no t,"
+                                 f" got alpha={self.alpha!r}, t={self.t!r}")
+        elif self.t is None or self.t < 1 or self.r < 1 or self.alpha is not None:
+            raise ValueError(f"{self.mode} takes t >= 1, r >= 1 and no alpha,"
+                             f" got t={self.t!r}, r={self.r}, alpha={self.alpha!r}")
+        # Value axis: exactly one non-empty list, of a kind the mode takes.
+        by_c = self.c_values is not None
+        axis, values = ("c_values", self.c_values) if by_c else ("p_values", self.p_values)
+        axes = _AXES[self.mode]
+        if not values or by_c and self.p_values is not None or axis not in axes:
+            raise ValueError(f"{self.mode} takes exactly one non-empty list, {' or '.join(axes)}")
+        if self.mode == SINGLE_POINT and (len(self.n_values) != 1 or len(values) != 1):
+            raise ValueError("SINGLE_POINT takes one n and one c or p value")
+        if not by_c and any(not 0.0 <= p <= 1.0 for p in values):
+            raise ValueError("every p must lie in [0, 1]")
         # An infinite c would reach the results as a non-finite float.
-        if self.c_values and any(not 0.0 < c < math.inf for c in self.c_values):
+        if by_c and any(not 0.0 < c < math.inf for c in values):
             raise ValueError("every c must be positive and finite")
-
-    def _need_r_and_t(self):
-        # threshold_p and asymptotic_success are defined only for r, t >= 1.
-        if self.t is None or self.t < 1:
-            raise ValueError(f"mode {self.mode} needs t >= 1, got {self.t!r}")
-        if self.r < 1:
-            raise ValueError(f"mode {self.mode} needs r >= 1, got {self.r}")
-        if self.alpha is not None:
-            raise ValueError(f"mode {self.mode} does not take alpha")
 
 
 @dataclass(frozen=True)
@@ -467,8 +462,8 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
 
     key=value files take one field per line ('#' starts a comment); list
     fields are comma-separated.  Entries in overrides (same key space)
-    replace file values; None overrides are ignored.  master_seed defaults
-    to 0 when nothing specifies it.
+    replace file values; None overrides are ignored.  A field that nothing
+    gives takes the ExperimentSpec default.
     """
     stripped = text.strip()
     raw: dict = {}
@@ -488,7 +483,6 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
             raw[key] = value
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    raw.setdefault("master_seed", 0)
     for key, value in raw.items():
         if key not in _SPEC_FIELDS:
             raise ValueError(f"unknown spec field {key!r}")

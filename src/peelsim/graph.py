@@ -45,6 +45,9 @@ class BipartiteGraph:
     def __init__(self, n_left: int, n_right: int, edges=()):
         n_left = _integer(n_left, 1, "graph needs at least one vertex per side, got n_left={!r}")
         n_right = _integer(n_right, 1, "graph needs at least one vertex per side, got n_right={!r}")
+        if max(n_left, n_right) > _INT64_MAX:
+            # No vertex past 2**63 - 1 can hold an int64 edge end.
+            raise ValueError(f"graph sides must be at most 2**63 - 1, got {n_left} x {n_right}")
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)

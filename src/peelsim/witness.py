@@ -308,7 +308,7 @@ def find_short_cycle(g: BipartiteGraph, max_len: int):
     depth_cap = max_len // 2 - 1
     for start in starts:
         cycle = _bfs_cycle(adj, start, depth_cap, g.n_left)
-        if cycle is not None and len(cycle) <= max_len:
+        if cycle is not None:
             return cycle
     return None
 
@@ -362,19 +362,17 @@ def _bfs_cycle(adj, root, depth_cap, n_left):
                 q.append(y)
             elif parent[x] != y and parent.get(y) != x:
                 # Non-tree edge (x, y): climb both parent chains to the fork.
-                return _close_cycle(parent, dist, x, y, n_left)
+                return _close_cycle(parent, x, y, n_left)
     return None
 
 
-def _close_cycle(parent, dist, x, y, n_left):
-    px, py = [x], [y]
-    a, b = x, y
-    while dist[a] > dist[b]:
-        a = parent[a]
-        px.append(a)
-    while dist[b] > dist[a]:
-        b = parent[b]
-        py.append(b)
+def _close_cycle(parent, x, y, n_left):
+    # In a bipartite graph the first non-tree edge (x, y) that the search
+    # meets has dist[y] = dist[x] + 1: an edge to the level above x would
+    # have been met from that side first.  So y's chain is one step longer,
+    # and the cycle has at most 2 * dist[x] + 2 <= max_len edges.
+    a, b = x, parent[y]
+    px, py = [a], [y, b]
     while a != b:
         a = parent[a]
         b = parent[b]

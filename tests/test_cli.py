@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import peelsim.experiment as experiment
-from peelsim import CSV_COLUMNS, serialize_graph
+from peelsim import CSV_COLUMNS, ExperimentSpec, serialize_graph
 from peelsim.cli import build_parser, main
 
 from helpers import cap_address_space, path_graph
@@ -170,6 +171,17 @@ def test_decode_rejects_bad_vertex_index(capsys, tmp_path, vertex):
     code, out, err = run_cli(capsys, ["decode", "--edges", str(path), "--rounds", "1", "-t", "1"])
     assert code == 2 and out == ""
     assert err.startswith("peelsim decode: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["decode", "detect"])
+def test_a_side_past_int64_exits_two(capsys, tmp_path, command):
+    # decode's bincount overflowed on such a side, with a traceback.
+    path = tmp_path / "wide.edges"
+    path.write_text(f"{2**63} 2 1\n0 1\n")
+    code, out, err = run_cli(capsys, [command, "--edges", str(path), "-r", "1", "-t", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"peelsim {command}: graph sides must be at most 2**63 - 1")
+    assert err.count("\n") == 1
 
 
 # -------------------------------------------------------------------- detect
@@ -351,6 +363,47 @@ def test_sweep_flags_override_config(capsys, tmp_path):
     assert base != reseeded
     _, same, _ = run_cli(capsys, ["sweep", "--config", str(cfg), "--seed", "4"])
     assert base == same
+
+
+SPEC_LINEAR = """
+mode = LINEAR_REGIME_SWEEP
+n_values = 8
+r = 1
+alpha = 0.3
+p_values = 0.2
+trials_per_point = 8
+master_seed = 4
+confidence = 0.95
+"""
+SPEC_SINGLE = SPEC_LINEAR.replace("LINEAR_REGIME_SWEEP", "SINGLE_POINT").replace(
+    "alpha = 0.3", "t = 1").replace("p_values = 0.2", "c_values = 1.0")
+
+# field: (config, sweep flags, the value they give the field)
+SWEEP_FLAGS = {
+    "mode": (SPEC_SINGLE, ["--mode", "CONSTANT_T_SWEEP"], "CONSTANT_T_SWEEP"),
+    "n_values": (SPEC_SINGLE, ["--n-values", "16"], (16,)),
+    "r": (SPEC_SINGLE, ["-r", "2"], 2),
+    "trials_per_point": (SPEC_SINGLE, ["--trials", "5"], 5),
+    "master_seed": (SPEC_SINGLE, ["--seed", "9"], 9),
+    "t": (SPEC_SINGLE, ["-t", "2"], 2),
+    "alpha": (SPEC_LINEAR, ["--alpha", "0.4"], 0.4),
+    "c_values": (SPEC_SINGLE, ["--c-values", "2"], (2.0,)),
+    "p_values": (SPEC_LINEAR, ["--p-values", "0.3,0.5"], (0.3, 0.5)),
+    "confidence": (SPEC_SINGLE, ["--confidence", "0.9"], 0.9),
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentSpec), ids=lambda f: f.name)
+def test_each_sweep_flag_overrides_its_spec_field(capsys, tmp_path, monkeypatch, field):
+    config, flags, value = SWEEP_FLAGS[field.name]
+    specs = []
+    monkeypatch.setattr("peelsim.cli.run_sweep", lambda spec, workers: specs.append(spec) or ())
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    assert run_cli(capsys, ["sweep", "--config", str(cfg)])[0] == 0
+    assert run_cli(capsys, ["sweep", "--config", str(cfg), *flags])[0] == 0
+    from_file, from_flag = (getattr(spec, field.name) for spec in specs)
+    assert from_file != value and from_flag == value
 
 
 def test_sweep_flags_only(capsys):

@@ -244,6 +244,12 @@ def test_spec_linear_mode_constraints():
                        t=2, p_values=(0.1,))
     with pytest.raises(ValueError):
         ExperimentSpec(LINEAR_REGIME_SWEEP, (10,), 1, 10, 0, alpha=0.3, p_values=(1.2,))
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        ExperimentSpec(LINEAR_REGIME_SWEEP, (10,), -1, 10, 0, alpha=0.3, p_values=(0.1,))
+    with pytest.raises(ValueError, match="exactly one non-empty list, p_values"):
+        ExperimentSpec(LINEAR_REGIME_SWEEP, (10,), 1, 10, 0, alpha=0.3, c_values=(1.0,))
+    # r = 0 is a valid round count when t comes from alpha.
+    ExperimentSpec(LINEAR_REGIME_SWEEP, (10,), 0, 10, 0, alpha=0.3, p_values=(0.1,))
 
 
 def test_spec_single_point_constraints():
@@ -255,6 +261,9 @@ def test_spec_single_point_constraints():
         ExperimentSpec(SINGLE_POINT, (10,), 1, 5, 0, t=1, p_values=(0.1, 0.2))
     with pytest.raises(ValueError):
         ExperimentSpec(SINGLE_POINT, (10,), 1, 5, 0, t=1)
+    for p in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"every p must lie in \[0, 1\]"):
+            ExperimentSpec(SINGLE_POINT, (10,), 1, 5, 0, t=1, p_values=(p,))
 
 
 @pytest.mark.parametrize("mode,values", [
@@ -267,6 +276,8 @@ def test_spec_threshold_modes_need_positive_r_and_t(mode, values):
         ExperimentSpec(mode, (10,), 0, 5, 0, t=1, **values)
     with pytest.raises(ValueError, match="t >= 1"):
         ExperimentSpec(mode, (10,), 1, 5, 0, t=0, **values)
+    with pytest.raises(ValueError, match="no alpha"):
+        ExperimentSpec(mode, (10,), 1, 5, 0, t=1, alpha=0.3, **values)
 
 
 def test_spec_common_constraints():
@@ -868,6 +879,7 @@ def test_load_spec_rejects_inexact_integers(field, bad):
 @pytest.mark.parametrize("line,message", [
     ("r = 1.5", "r must be an integer, got '1.5'"),
     ("n_values = 8, x", "n_values must be an integer, got 'x'"),
+    ("alpha = x", "alpha must be a number, got 'x'"),
 ])
 def test_load_spec_names_the_field_of_bad_integer_text(line, message):
     with pytest.raises(ValueError, match=message):

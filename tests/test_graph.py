@@ -61,6 +61,18 @@ def test_rejects_non_integer_endpoints():
             BipartiteGraph(3, 3, edges)
     g = BipartiteGraph(3, 3, np.array([[2, 1], [0, 0]], dtype=np.int8))
     assert list(g.edges()) == [(0, 0), (2, 1)] and g.u.dtype == np.int64
+    for edges in ([(0, 1, 2)], [0, 1], np.zeros((1, 2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="edges must be"):
+            BipartiteGraph(3, 3, edges)
+
+
+def test_rejects_sides_past_int64():
+    # No vertex past 2**63 - 1 can hold an int64 edge end.
+    for sides in ((2**63, 2), (2, 2**63), (2**64, 2**64)):
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+            BipartiteGraph(*sides, [(0, 1)])
+    g = BipartiteGraph(2**63 - 1, 2, [(2**63 - 2, 1)])
+    assert list(g.edges()) == [(2**63 - 2, 1)]
 
 
 def test_neighbor_views_are_consistent():

@@ -170,6 +170,8 @@ def test_verify_raises_on_out_of_range_indices():
         verify_config(K22, UndecodableConfig(5, K22_CONFIG.layers, K22_CONFIG.edges), 2, 1)
     with pytest.raises(ValueError, match="edge"):
         verify_config(K22, UndecodableConfig(0, K22_CONFIG.layers, frozenset({(0, 7)})), 2, 1)
+    with pytest.raises(ValueError, match="edge left index"):
+        verify_config(K22, UndecodableConfig(0, K22_CONFIG.layers, frozenset({(7, 0)})), 2, 1)
     with pytest.raises(ValueError, match="layer"):
         bad_layers = (frozenset({0}), frozenset({9}), frozenset({0, 1}))
         verify_config(K22, UndecodableConfig(0, bad_layers, K22_CONFIG.edges), 2, 1)
