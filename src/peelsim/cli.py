@@ -154,7 +154,8 @@ def main(argv=None) -> int:
         if args.output is not None:
             _check_output(args.output)
         return handler(args)
-    # OSError includes the ChildProcessError of a sweep's dead pool worker.
+    # OSError includes the ChildProcessError of a sweep's dead worker and
+    # the BlockingIOError of a fork refused at the process limit.
     except (ValueError, OSError, MemoryError) as exc:
         print(f"peelsim {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

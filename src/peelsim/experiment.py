@@ -6,12 +6,13 @@ pure function of the experiment spec.  Points are processed in sorted
 (n, c_or_p) order.  With k processes, process j runs every k-th trial of
 the point-major sequence from trial j, and returns integer sums per point
 that are added before any float is formed, so the output is byte-identical
-at any worker count.
+at any worker count.  The k - 1 processes besides the caller are forked
+directly with os.fork and report through a pipe each; no process pool is
+involved.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import json
 import math
@@ -257,38 +258,22 @@ def _point_tasks(spec: ExperimentSpec) -> list[dict]:
     return tasks
 
 
-# The sweep's stop event, in a pool worker; None in the calling process.
-_stop = None
-
-
-def _start_worker(stop) -> None:
-    """Pool initializer: keep the sweep's stop event and the heap resident."""
-    global _stop
-    _stop = stop
-    _keep_heap_resident()
-
-
 def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
-               futures=()) -> list[list[int]]:
+               poll=None) -> list[list[int]]:
     """Trials g = first, first + step, ... of the point-major sequence
     g = point_index * trials_per_point + trial_index, in order, as four
     integer sums per point: successes, one-round successes, residual edges,
-    fixpoint rounds.  Before each trial it raises the error of any failed
-    future; in a worker, it returns before its next trial once the stop
-    event is set, and the caller, which set it, drops the short sums."""
+    fixpoint rounds.  poll, if given, is called before each trial; the
+    calling process of a forked sweep passes one that raises the error of
+    any worker that has failed."""
     tpp = spec.trials_per_point
     per_point = []
     for task in points:
         params = DecodeParams(rounds=spec.r, t=task["t"])
         sums = [0, 0, 0, 0]
         for trial_index in range((first - task["point_index"] * tpp) % step, tpp, step):
-            if _stop is not None and _stop.is_set():
-                return per_point
-            # done() only takes the future's lock, so checking per trial is
-            # cheap; the serial path has no futures.
-            for future in futures:
-                if future.done():
-                    future.result()
+            if poll is not None:
+                poll()
             seed = trial_seed(spec.master_seed, task["point_index"], trial_index, tpp)
             rec = run_trial(task["n"], task["p"], params, seed)
             sums[0] += rec.success
@@ -361,51 +346,105 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     """Run every point of the sweep; identical output for any worker count.
 
     The sweep runs on procs = min(workers, its trial count, CPUs available
-    to this process) processes, the calling one included: procs - 1 are forked, and
-    with one process none is.  Process j runs trials j, j + procs, ... of
-    the point-major sequence (see _run_share); the calling process runs
-    share 0 and raises a failed worker's error before its next trial.  Integer
-    sums per point are added over the shares, so the result does not depend
-    on who ran a trial, and with one process run_trial is called in
-    point-major, trial-ascending order.  If the caller's share or a
-    worker's result raises, the caller sets the stop event, so each worker
-    ends at its next trial; no pool process outlives the call.  A worker
-    that dies, say under the OOM killer, breaks the pool, which is raised
-    as ChildProcessError from the pool's BrokenExecutor.
+    to this process) processes, the calling one included; where os.fork
+    does not exist, procs is 1.  Process j runs trials j, j + procs, ... of
+    the point-major sequence (see _run_share), and the calling process runs
+    share 0.  Integer sums per point are added over the shares, so the
+    result does not depend on who ran a trial, and with one process
+    run_trial is called in point-major, trial-ascending order.  With more,
+    see _run_forked: a worker's error is raised in the caller before its
+    next trial, and no worker outlives the call.
 
-    multiprocessing and concurrent.futures are imported only when a sweep
-    first forks, so a process that never forks never loads them.
-
-    Every process that runs trials keeps freed trial arrays resident: the
-    pool's workers, and the calling process, whose glibc mmap and trim
-    thresholds this sets for the rest of its life (see _keep_heap_resident).
+    The calling process keeps freed trial arrays resident, setting its
+    glibc mmap and trim thresholds for the rest of its life (see
+    _keep_heap_resident) before it forks, so its workers inherit them.
     """
     workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
     procs = min(workers, _available_cpus(), len(points) * spec.trials_per_point)
-    # With one process, range(1, procs) is empty: nothing is submitted to
-    # the null context that stands in for the pool.
-    stop = None
-    pool = contextlib.nullcontext()
-    if procs > 1:
-        import multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        stop = multiprocessing.Event()
-        pool = ProcessPoolExecutor(max_workers=procs - 1, initializer=_start_worker, initargs=(stop,))
-    with pool:
-        futures = [pool.submit(_run_share, spec, points, j, procs) for j in range(1, procs)]
-        _keep_heap_resident()
-        try:
-            shares = [_run_share(spec, points, 0, procs, futures)]
-            shares += [future.result() for future in futures]
-        except BaseException as exc:
-            if stop is not None:
-                stop.set()
-                if isinstance(exc, BrokenExecutor):
-                    raise ChildProcessError("a worker process died before finishing its trials") from exc
-            raise
+    _keep_heap_resident()
+    if procs > 1 and hasattr(os, "fork"):
+        shares = _run_forked(spec, points, procs)
+    else:
+        shares = [_run_share(spec, points, 0, 1)]
     return tuple(_estimate(spec, task, map(sum, zip(*sums))) for task, *sums in zip(points, *shares))
+
+
+def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[list[list[int]]]:
+    """Every share's sums, in share order, with share j forked for j >= 1.
+
+    Each child inherits spec and points by the fork, runs its share and
+    writes pickle.dumps((ok, sums or exception)) to its own pipe, then
+    leaves with os._exit, so it never returns into the caller's stack.
+    The caller runs share 0.  Before each of its trials it polls every
+    child's pipe at once (select.poll, which takes fds past 1024), and
+    once its share is done it waits on them, in whatever order they
+    finish.  A readable pipe is read to EOF and its child reaped: a
+    child's exception is re-raised, and a child that ended without a
+    result raises ChildProcessError.  On any error, including a failed
+    os.fork, every child not yet collected is killed with SIGKILL; every
+    child forked is reaped and every pipe closed.
+    """
+    import pickle
+    import select
+    import signal
+
+    shares = [None] * procs
+    pending = {}  # read end -> (share, pid), for the children not yet collected
+    try:
+        for j in range(1, procs):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        result = (True, _run_share(spec, points, j, procs))
+                    except BaseException as exc:
+                        result = (False, exc)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(result))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            pending[read_end] = j, pid
+        poller = select.poll()
+        for fd in pending:
+            poller.register(fd, select.POLLIN)
+
+        def poll(timeout=0):
+            for fd, _ in poller.poll(timeout):
+                with open(fd, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                j, pid = pending[fd]
+                status = os.waitpid(pid, 0)[1]
+                del pending[fd]
+                poller.unregister(fd)
+                os.close(fd)
+                if status or not data:
+                    code = os.waitstatus_to_exitcode(status)
+                    how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                    raise ChildProcessError(f"a worker process died before finishing its trials ({how})")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                shares[j] = value
+
+        shares[0] = _run_share(spec, points, 0, procs, poll)
+        while pending:
+            poll(None)
+        return shares
+    finally:
+        for fd, (_, pid) in pending.items():
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
 
 
 def _quantile_point(confidence: float) -> float:

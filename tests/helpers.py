@@ -10,6 +10,7 @@ enumeration instead of backtracking search.
 from __future__ import annotations
 
 import math
+import os
 import resource
 from collections import deque
 from itertools import combinations, permutations
@@ -309,3 +310,16 @@ def cap_address_space():
     exhaust the machine, if a closed form regresses to an r-long list (at
     r = 10**9 such a list takes about 8 GB): caps it at 1 GiB."""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped.
+
+    os.waitpid(-1, WNOHANG) returns (0, 0) for a running child and reaps a
+    finished one; only with no child at all does it raise.  Unlike
+    multiprocessing.active_children, it sees children of a bare os.fork."""
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process is left: waitpid gave {left}")

@@ -1,10 +1,11 @@
 import argparse
 import dataclasses
+import errno
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ import peelsim.experiment as experiment
 from peelsim import CSV_COLUMNS, ExperimentSpec, serialize_graph
 from peelsim.cli import build_parser, main
 
-from helpers import cap_address_space, path_graph
+from helpers import assert_no_child, cap_address_space, path_graph
 
 K22_GRID = "XX\nXX\n"
 K22_EDGES = "2 2 4\n0 0\n0 1\n1 0\n1 1\n"
@@ -600,11 +601,14 @@ def test_sweep_rejects_a_confidence_with_an_infinite_quantile_before_any_trial(c
     assert "confidence must lie in" in err and err.count("\n") == 1
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched trial reaches the worker only by fork")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the patched trial reaches the worker only by fork")
+
+
+@needs_fork
 def test_sweep_reports_a_dead_worker(capsys, tmp_path, monkeypatch):
-    # A pool worker that dies, as under the OOM killer, breaks the pool; the
-    # sweep exits 2 with one line instead of a traceback, and leaves no child.
+    # A worker that dies, as under the OOM killer, ends the sweep with exit
+    # 2 and one line that says how the worker ended, not a traceback, and
+    # leaves no child.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     caller = os.getpid()
     run_trial = experiment.run_trial
@@ -614,8 +618,38 @@ def test_sweep_reports_a_dead_worker(capsys, tmp_path, monkeypatch):
     cfg.write_text(SWEEP_CONFIG)
     code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", "2"])
     assert code == 2 and out == ""
-    assert err == "peelsim sweep: a worker process died before finishing its trials\n"
-    assert multiprocessing.active_children() == []
+    assert err == "peelsim sweep: a worker process died before finishing its trials (exit code 3)\n"
+    assert_no_child()
+
+
+@needs_fork
+def test_sweep_whose_fork_fails_kills_the_workers_it_forked(capsys, tmp_path, monkeypatch):
+    # At --workers 3 the second fork fails, as at a process limit.  The
+    # first worker, whose trials would each take 30 s, is killed and
+    # reaped, and the sweep exits 2 with one line.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
+    caller = os.getpid()
+    run_trial = experiment.run_trial
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *args: run_trial(*args) if os.getpid() == caller else time.sleep(30))
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", "3"])
+    assert time.perf_counter() - start < 10.0
+    assert code == 2 and out == ""
+    assert err == f"peelsim sweep: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    assert len(forks) == 2
+    assert_no_child()
 
 
 def test_sweep_incomplete_flags(capsys):
@@ -727,7 +761,8 @@ def test_a_process_that_never_forks_loads_no_pool(code):
     assert "multiprocessing" not in loaded and "concurrent" not in loaded
 
 
-def test_a_forking_sweep_loads_the_pool():
+def test_a_forking_sweep_loads_neither_multiprocessing_nor_concurrent_futures():
+    # Workers are forked with os.fork itself, so no sweep loads pool code.
     code = ("import peelsim, peelsim.experiment as e; e._available_cpus = lambda: 2; "
             f"e.run_sweep(peelsim.load_spec({ONE_POINT!r}), workers=2)")
-    assert loaded_after(code) == "['concurrent.futures', 'multiprocessing', 'statistics']"
+    assert loaded_after(code) == "['statistics']"

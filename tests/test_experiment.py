@@ -2,14 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import platform
 import random
 import signal
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -37,7 +34,7 @@ from peelsim import (
     write_results,
 )
 
-from helpers import exact_four_by_four, exact_success_one_round
+from helpers import assert_no_child, exact_four_by_four, exact_success_one_round
 
 SMALL_SWEEP = ExperimentSpec(
     mode=CONSTANT_T_SWEEP,
@@ -332,54 +329,67 @@ def _three_points(trials):
                           trials_per_point=trials, master_seed=11)
 
 
-class _FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, its initializer
-    and the (first, step) of each share submitted, and runs each share in
-    this process when submitted."""
+class _SweepLog:
+    """What a sweep forked and which process ran which share and trial.
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.max_workers = max_workers
-        self.initializer = initializer
-        self.initargs = initargs
-        self.shares = []
-        _FakePool.made.append(self)
+    procs lists the process count of each forking sweep, as the calling
+    process saw it.  Every process, forked ones included, appends its
+    events to one file, one short line each: ("fork", caller pid) just
+    before the caller forks, ("share", pid, first, step) as a share starts
+    and ("trial", pid, first, seed) for each trial."""
 
-    def __enter__(self):
-        return self
+    def __init__(self, path):
+        self.path = path
+        self.procs = []
+        self.clear()
 
-    def __exit__(self, *exc):
-        return False
+    def clear(self):
+        self.path.write_text("")
+        self.procs.clear()
 
-    def submit(self, fn, spec, points, first, step):
-        self.shares.append((first, step))
-        future = Future()
-        future.set_result(fn(spec, points, first, step))
-        return future
+    def write(self, *event):
+        with open(self.path, "a") as fh:
+            fh.write(" ".join(map(str, event)) + "\n")
 
+    def events(self):
+        return [(kind, *map(int, rest)) for kind, *rest in map(str.split, self.path.read_text().splitlines())]
 
-@pytest.fixture
-def fake_pool(monkeypatch):
-    _FakePool.made = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
-    return _FakePool.made
+    def trials(self):
+        """(first, seed) of every trial run, in any process."""
+        return [event[2:] for event in self.events() if event[0] == "trial"]
 
 
 @pytest.fixture
-def trials_run(monkeypatch):
-    """Every trial run, in the caller or in a fake pool, as (first, seed):
-    the share that ran it and the trial's seed."""
-    ran = []
-    first = []
-    run_share = experiment._run_share
+def sweep_log(monkeypatch, tmp_path):
+    """Logs forks, shares and trials (see _SweepLog), and refuses, before
+    any fork, a sweep of more than three processes."""
+    log = _SweepLog(tmp_path / "sweep.log")
+    run_forked, run_share, fork = experiment._run_forked, experiment._run_share, os.fork
+    share = [None]  # this process's current share, inherited by a fork
 
-    def recording_share(spec, points, *args):
-        first.append(args[0])
-        return run_share(spec, points, *args)
+    def forked(spec, points, procs):
+        assert procs <= 3, f"a test sweep asked for {procs} processes"
+        log.procs.append(procs)
+        return run_forked(spec, points, procs)
 
-    monkeypatch.setattr(experiment, "_run_share", recording_share)
-    monkeypatch.setattr(experiment, "run_trial",
-                        lambda *args: ran.append((first[-1], args[-1])) or run_trial(*args))
-    return ran
+    def logged_fork():
+        log.write("fork", os.getpid())
+        return fork()
+
+    def logged_share(spec, points, first, step, *args):
+        share[0] = first
+        log.write("share", os.getpid(), first, step)
+        return run_share(spec, points, first, step, *args)
+
+    def logged_trial(*args):
+        log.write("trial", os.getpid(), share[0], args[-1])
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "_run_forked", forked)
+    monkeypatch.setattr(experiment, "_run_share", logged_share)
+    monkeypatch.setattr(experiment, "run_trial", logged_trial)
+    monkeypatch.setattr(os, "fork", logged_fork)
+    return log
 
 
 def _strided(trials_run, spec, procs):
@@ -393,10 +403,19 @@ def _strided(trials_run, spec, procs):
     assert all(place[seed] % procs == first for first, seed in trials_run)
 
 
-# A trial patched in this process reaches the pool's workers only when they
-# are forked from it.
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="patched trials reach workers only by fork")
+def _forked_shares(events, procs):
+    """The caller forked procs - 1 children and then ran share 0 itself,
+    and each child ran one share j in 1..procs-1, a different one each."""
+    caller = os.getpid()
+    own = [event for event in events if event[1] == caller and event[0] != "trial"]
+    assert own == [("fork", caller)] * (procs - 1) + [("share", caller, 0, procs)]
+    children = {event[1]: event[2:] for event in events if event[0] == "share" and event[1] != caller}
+    assert sorted(children.values()) == [(j, procs) for j in range(1, procs)]
+
+
+# A trial patched in this process reaches the workers only when they are
+# forked from it.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="patched trials reach workers only by fork")
 
 
 @pytest.mark.parametrize("spec", [
@@ -414,6 +433,7 @@ def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, spec):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@needs_fork
 @pytest.mark.parametrize("spec,workers,procs", [
     (_single_point(7), 2, 2),
     (_single_point(7), 3, 3),
@@ -421,52 +441,62 @@ def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, spec):
     (_three_points(1), 3, 3),
     (_three_points(2), 3, 3),
 ], ids=["1x7-2", "1x7-3", "1x2-3", "3x1-3", "3x2-3"])  # points x trials-workers
-def test_pool_gets_one_strided_share_per_worker(monkeypatch, fake_pool, trials_run,
-                                                spec, workers, procs):
+def test_pool_gets_one_strided_share_per_worker(monkeypatch, sweep_log, spec, workers, procs):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
     expected = write_results(run_sweep(spec), "csv")
-    trials_run.clear()
+    sweep_log.clear()
     heap = []
     monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: heap.append("caller"))
     assert write_results(run_sweep(spec, workers=workers), "csv") == expected
-    (pool,) = fake_pool
-    # One share per process, the caller among them: one worker fewer.
-    assert pool.max_workers == procs - 1
-    assert pool.initializer is experiment._start_worker
-    (stop,) = pool.initargs
-    assert not stop.is_set()
+    # One share per process, the caller among them: one child fewer.  The
+    # children inherit the heap thresholds, set once, before the forks.
+    assert sweep_log.procs == [procs]
     assert heap == ["caller"]
-    # Each pool worker gets one task, share j of procs; the caller runs
-    # share 0, after the fake pool has run the others.
-    assert pool.shares == [(j, procs) for j in range(1, procs)]
-    _strided(trials_run, spec, procs)
-    assert trials_run[-1][0] == 0
+    _forked_shares(sweep_log.events(), procs)
+    _strided(sweep_log.trials(), spec, procs)
+    assert_no_child()
 
 
-def test_one_trial_per_point_starts_no_pool(monkeypatch, fake_pool):
+def test_one_trial_per_point_starts_no_pool(monkeypatch, sweep_log):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
     run_sweep(_single_point(1), workers=3)
-    assert fake_pool == []
+    assert sweep_log.procs == []
+    assert [event for event in sweep_log.events() if event[0] == "fork"] == []
 
 
-def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch, fake_pool, trials_run):
-    # Under fork the real executor starts every max_workers process at once,
-    # so a huge worker count is only ever handed to the fake.
+@needs_fork
+def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch, sweep_log):
+    # Each sweep would fork all but one of its processes at once, so the
+    # log refuses more than three, before any fork.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
     run_sweep(SMALL_SWEEP, workers=5000)
-    (pool,) = fake_pool
-    assert pool.max_workers == 3 - 1
-    assert pool.shares == [(1, 3), (2, 3)]
-    _strided(trials_run, SMALL_SWEEP, 3)
+    assert sweep_log.procs == [3]
+    _forked_shares(sweep_log.events(), 3)
+    _strided(sweep_log.trials(), SMALL_SWEEP, 3)
     # Three trials in all: three processes, however many CPUs.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
-    trials_run.clear()
+    sweep_log.clear()
     run_sweep(_three_points(1), workers=5000)
-    assert fake_pool[1].max_workers == 3 - 1
-    _strided(trials_run, _three_points(1), 3)
+    assert sweep_log.procs == [3]
+    _forked_shares(sweep_log.events(), 3)
+    _strided(sweep_log.trials(), _three_points(1), 3)
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
+    sweep_log.clear()
     run_sweep(SMALL_SWEEP, workers=5000)
-    assert len(fake_pool) == 2  # one CPU: the sweep ran in this process
+    assert sweep_log.procs == []  # one CPU: the sweep ran in this process
+    assert {event[1] for event in sweep_log.events()} == {os.getpid()}
+    assert_no_child()
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch, sweep_log):
+    # Where os.fork does not exist, procs is 1, whatever the CPUs and workers.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    expected = write_results(run_sweep(_three_points(2)), "csv")
+    sweep_log.clear()
+    monkeypatch.delattr(os, "fork")
+    assert write_results(run_sweep(_three_points(2), workers=3), "csv") == expected
+    assert sweep_log.procs == []
+    assert [event[:2] for event in sweep_log.events() if event[0] == "share"] == [("share", os.getpid())]
 
 
 @needs_fork
@@ -486,30 +516,31 @@ def test_two_process_sweep_runs_trials_in_the_caller_and_one_child(monkeypatch, 
     ran_in = pids.read_text().split()
     assert len(ran_in) == 8
     assert len(set(ran_in)) == 2 and str(os.getpid()) in ran_in
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @needs_fork
-def test_error_in_the_callers_share_leaves_no_child(monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_error_in_the_callers_share_leaves_no_child(monkeypatch, error):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     caller = os.getpid()
 
     def failing_trial(*args):
         if os.getpid() == caller:
-            raise RuntimeError("trial failed in the caller")
+            raise error("trial failed in the caller")
         return run_trial(*args)
 
     monkeypatch.setattr(experiment, "run_trial", failing_trial)
-    with pytest.raises(RuntimeError, match="trial failed in the caller"):
+    with pytest.raises(error, match="trial failed in the caller"):
         run_sweep(_single_point(8), workers=2)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @needs_fork
 def test_error_in_the_callers_share_stops_the_workers(monkeypatch, tmp_path):
     # Each of the worker's 40 trials takes 0.1 s, so its share alone takes
-    # 4 s; the caller fails at its first trial and sets the stop event, so
-    # the worker ends at its next trial and the error comes out at once.
+    # 4 s; the caller fails at its first trial and kills the worker, so the
+    # error comes out at once.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     caller = os.getpid()
     ran = tmp_path / "ran"
@@ -529,16 +560,16 @@ def test_error_in_the_callers_share_stops_the_workers(monkeypatch, tmp_path):
         run_sweep(_single_point(80), workers=2)
     assert time.perf_counter() - start < 1.0
     assert len(ran.read_text().split()) < 5  # of the worker's 40
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @needs_fork
 def test_late_error_in_a_worker_stops_the_other_workers(monkeypatch, tmp_path):
     # Three shares of 40 trials.  The caller's trials are quick, so it has
-    # run its share and waits on share 1's result when share 1 fails, after
+    # run its share and waits on the workers when share 1 fails, after
     # 0.3 s; each of share 2's trials takes 0.1 s, so its share alone takes
-    # 4 s.  The failed result sets the stop event, so share 2 ends at its
-    # next trial and the error comes out at once.
+    # 4 s.  The failed result kills share 2's worker, so the error comes out
+    # at once.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
     spec = _single_point(120)
     share = {trial_seed(spec.master_seed, 0, i, 120): i % 3 for i in range(120)}
@@ -561,7 +592,7 @@ def test_late_error_in_a_worker_stops_the_other_workers(monkeypatch, tmp_path):
         run_sweep(spec, workers=3)
     assert time.perf_counter() - start < 1.0
     assert len(ran.read_text().split()) < 5  # of share 2's 40
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @needs_fork
@@ -591,10 +622,27 @@ def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
     spec = dataclasses.replace(SMALL_SWEEP, n_values=(8, 16, 24), trials_per_point=2)
     with pytest.raises(ChildProcessError) as info:
         run_sweep(spec, workers=2)
-    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert str(info.value) == "a worker process died before finishing its trials (exit code 3)"
+    assert info.value.__cause__ is None
     assert died.exists()
     assert 1 <= len(ran) < 6
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+@needs_fork
+def test_a_worker_killed_by_a_signal_is_named(monkeypatch):
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def trial(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+    with pytest.raises(ChildProcessError, match=rf"trials \(signal {int(signal.SIGKILL)}\)$"):
+        run_sweep(_single_point(8), workers=2)
+    assert_no_child()
 
 
 @needs_fork
@@ -627,7 +675,7 @@ def test_failed_worker_stops_the_callers_share_within_a_point(monkeypatch, tmp_p
     assert time.perf_counter() - start < 1.0
     assert failed.exists()
     assert 1 <= len(ran) < 5  # of the caller's 40
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
@@ -650,14 +698,14 @@ def test_serial_sweep_runs_trials_point_major_in_order(monkeypatch):
                      for k in range(4) for i in range(spec.trials_per_point)]
 
 
-def test_serial_sweep_keeps_its_own_heap_resident(monkeypatch, fake_pool):
+def test_serial_sweep_keeps_its_own_heap_resident(monkeypatch):
     # With one process the trials run here, so this process pins the
     # thresholds itself, once per sweep and before its first trial.
     events = []
+    monkeypatch.setattr(experiment, "_run_forked", lambda *args: pytest.fail("a serial sweep forked"))
     monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: events.append("heap"))
     monkeypatch.setattr(experiment, "run_trial", lambda *args: events.append("trial") or run_trial(*args))
     run_sweep(_single_point(3))
-    assert fake_pool == []
     assert events == ["heap", "trial", "trial", "trial"]
 
 
@@ -672,19 +720,6 @@ class _Libc:
             return self._returns
 
         self.mallopt = mallopt
-
-
-def test_worker_initializer_keeps_the_stop_event_and_the_heap(monkeypatch):
-    heap = []
-    monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: heap.append("worker"))
-    monkeypatch.setattr(experiment, "_stop", None)
-    stop = multiprocessing.Event()
-    experiment._start_worker(stop)
-    assert experiment._stop is stop and heap == ["worker"]
-    # Once the event is set, a worker's share returns before its next trial.
-    stop.set()
-    monkeypatch.setattr(experiment, "run_trial", lambda *args: pytest.fail("trial run after stop"))
-    assert experiment._run_share(SMALL_SWEEP, experiment._point_tasks(SMALL_SWEEP), 1, 2) == []
 
 
 def test_heap_initializer_is_quiet_without_mallopt():
@@ -704,10 +739,23 @@ def test_heap_initializer_pins_both_thresholds():
     assert libc.calls[0][1] <= 32 * 2**20
 
 
+@needs_fork
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
 def test_heap_initializer_takes_in_a_pool_worker():
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(experiment._keep_heap_resident).result(timeout=60) is True
+    # A sweep's forked worker, whose thresholds the caller set before the
+    # fork, can still set them itself.
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write_end, b"1" if experiment._keep_heap_resident() else b"0")
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        took = pipe.read()
+    assert os.waitpid(pid, 0)[1] == 0
+    assert took == b"1"
 
 
 def test_linear_sweep_theory_column():
