@@ -47,15 +47,18 @@ class _Subcommand(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="peelsim", description=__doc__)
+    # Each subparser names its handler; dest gives main its error prefix.
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p_gen = sub.add_parser("gen", help="sample a random erasure pattern")
+    p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("-n", "--n-left", type=int, required=True)
     p_gen.add_argument("--n-right", type=int, default=None, help="defaults to n-left")
     p_gen.add_argument("-p", type=float, required=True, help="per-cell erasure probability")
     p_gen.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
 
     p_dec = sub.add_parser("decode", help="run the peeling decoder")
+    p_dec.set_defaults(handler=_cmd_decode)
     _input_flags(p_dec)
     steps = p_dec.add_mutually_exclusive_group(required=True)
     steps.add_argument("-r", "--rounds", type=int)
@@ -64,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--strict", action="store_true", help="exit 1 when decoding fails")
 
     p_det = sub.add_parser("detect", help="find failure witnesses")
+    p_det.set_defaults(handler=_cmd_detect)
     _input_flags(p_det)
     p_det.add_argument("--kind", choices=("config", "cycle", "trees"), default="config")
     p_det.add_argument("-r", "--rounds", type=int, default=None)
@@ -71,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--max-len", type=int, default=4, help="cycle length bound (even, >= 4)")
 
     p_thy = sub.add_parser("theory", help="closed-form predictions")
+    p_thy.set_defaults(handler=_cmd_theory)
     p_thy.add_argument("-r", type=int, required=True)
     p_thy.add_argument("-t", type=int, required=True)
     p_thy.add_argument("--r-max", type=int, default=None, help="table up to this r")
@@ -79,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thy.add_argument("-n", type=int, default=None, help="also report threshold_p at n")
 
     p_swp = sub.add_parser("sweep", help="run a Monte Carlo sweep")
+    p_swp.set_defaults(handler=_cmd_sweep)
     p_swp.add_argument("--config", default=None, help="spec file (JSON or key=value)")
     # Each spec field's flag has the field's name as dest (see _cmd_sweep).
     p_swp.add_argument("--mode", default=None)
@@ -142,18 +148,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handler = {
-        "gen": _cmd_gen,
-        "decode": _cmd_decode,
-        "detect": _cmd_detect,
-        "theory": _cmd_theory,
-        "sweep": _cmd_sweep,
-    }[args.command]
     try:
         # A sweep can run for hours, so every output path is checked first.
         if args.output is not None:
             _check_output(args.output)
-        return handler(args)
+        return args.handler(args)
     # OSError includes the ChildProcessError of a sweep's dead worker and
     # the BlockingIOError of a fork refused at the process limit.
     except (ValueError, OSError, MemoryError) as exc:

@@ -19,6 +19,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 # decode and decode_fixpoint are not called here, but stay importable from
 # this module: the benchmark's traced replay (perfbench/workloads.py) wraps
@@ -88,8 +89,7 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int, trials_per_
     return splitmix64(master_seed + (k + 1) * _GOLDEN)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Outcome of one sampled pattern.
 
     success and residual_edges are those of ``decode`` with the trial's
@@ -98,11 +98,13 @@ class TrialRecord:
     whether a single row round alone finishes the pattern (every row within
     capability); it is read off the fixpoint run, whose first round decodes
     rows.  ``run_trial`` computes all four without building either outcome.
+    A sweep point's totals are these fields summed over its trials, in this
+    order.
     """
 
     success: bool
-    residual_edges: int
     one_round_success: bool
+    residual_edges: int
     fixpoint_rounds: int
 
 
@@ -232,8 +234,8 @@ def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     run.peel(ROWS)
     return TrialRecord(
         success=residual_edges == 0,
-        residual_edges=residual_edges,
         one_round_success=run.live_edges == 0 and run.last_removal <= 1,
+        residual_edges=residual_edges,
         fixpoint_rounds=run.last_removal,
     )
 
@@ -253,33 +255,29 @@ def _point_tasks(spec: ExperimentSpec) -> list[dict]:
         else:
             thr = threshold_p(n, spec.r, spec.t)
             theory = asymptotic_success(x / thr, spec.r, spec.t) if x > 0 else 1.0
-        tasks.append({"n": n, "t": t, "c_or_p": x, "p": p, "theory": theory,
-                      "point_index": len(tasks)})
+        tasks.append({"n": n, "t": t, "c_or_p": x, "p": p, "theory": theory})
     return tasks
 
 
 def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
                poll=None) -> list[list[int]]:
     """Trials g = first, first + step, ... of the point-major sequence
-    g = point_index * trials_per_point + trial_index, in order, as four
-    integer sums per point: successes, one-round successes, residual edges,
-    fixpoint rounds.  poll, if given, is called before each trial; the
-    calling process of a forked sweep passes one that raises the error of
-    any worker that has failed."""
+    g = point_index * trials_per_point + trial_index, in order, as integer
+    sums per point: TrialRecord's fields, each summed over the trials run,
+    in TrialRecord's order.  poll, if given, is called before each trial;
+    the calling process of a forked sweep passes one that raises the error
+    of any worker that has failed."""
     tpp = spec.trials_per_point
     per_point = []
-    for task in points:
+    for point_index, task in enumerate(points):
         params = DecodeParams(rounds=spec.r, t=task["t"])
-        sums = [0, 0, 0, 0]
-        for trial_index in range((first - task["point_index"] * tpp) % step, tpp, step):
+        sums = [0] * len(TrialRecord._fields)
+        for trial_index in range((first - point_index * tpp) % step, tpp, step):
             if poll is not None:
                 poll()
-            seed = trial_seed(spec.master_seed, task["point_index"], trial_index, tpp)
+            seed = trial_seed(spec.master_seed, point_index, trial_index, tpp)
             rec = run_trial(task["n"], task["p"], params, seed)
-            sums[0] += rec.success
-            sums[1] += rec.one_round_success
-            sums[2] += rec.residual_edges
-            sums[3] += rec.fixpoint_rounds
+            sums = [total + x for total, x in zip(sums, rec)]
         per_point.append(sums)
     return per_point
 
@@ -507,7 +505,10 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     stripped = text.strip()
     raw: dict = {}
     if stripped.startswith(("{", "[")):
-        parsed = json.loads(stripped)
+        try:
+            parsed = json.loads(stripped)
+        except RecursionError:
+            raise ValueError("spec JSON is nested too deeply") from None
         if not isinstance(parsed, dict):
             raise ValueError("spec JSON must be an object")
         raw.update(parsed)

@@ -522,6 +522,16 @@ def test_sweep_bad_spec(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_sweep_refuses_a_deeply_nested_json_spec(capsys, tmp_path):
+    # json.loads raises RecursionError here, which must not reach the user
+    # as a traceback.
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"mode": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("peelsim sweep: ") and err.count("\n") == 1, err
+
+
 def test_sweep_rejects_fractional_rounds(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

@@ -441,7 +441,7 @@ def test_sweep_bytes_are_equal_at_one_two_and_three_workers(monkeypatch, spec):
     (_three_points(1), 3, 3),
     (_three_points(2), 3, 3),
 ], ids=["1x7-2", "1x7-3", "1x2-3", "3x1-3", "3x2-3"])  # points x trials-workers
-def test_pool_gets_one_strided_share_per_worker(monkeypatch, sweep_log, spec, workers, procs):
+def test_each_forked_worker_runs_one_strided_share(monkeypatch, sweep_log, spec, workers, procs):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
     expected = write_results(run_sweep(spec), "csv")
     sweep_log.clear()
@@ -457,7 +457,7 @@ def test_pool_gets_one_strided_share_per_worker(monkeypatch, sweep_log, spec, wo
     assert_no_child()
 
 
-def test_one_trial_per_point_starts_no_pool(monkeypatch, sweep_log):
+def test_a_single_trial_forks_no_worker(monkeypatch, sweep_log):
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
     run_sweep(_single_point(1), workers=3)
     assert sweep_log.procs == []
@@ -465,7 +465,7 @@ def test_one_trial_per_point_starts_no_pool(monkeypatch, sweep_log):
 
 
 @needs_fork
-def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch, sweep_log):
+def test_process_count_is_capped_by_cpus_and_trials(monkeypatch, sweep_log):
     # Each sweep would fork all but one of its processes at once, so the
     # log refuses more than three, before any fork.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
@@ -685,17 +685,34 @@ def test_sweep_rejects_bad_worker_counts(workers):
 
 
 def test_serial_sweep_runs_trials_point_major_in_order(monkeypatch):
-    seeds = []
+    seeds, records, shares = [], [], []
+    run_share = experiment._run_share
 
     def recording_trial(n, p, params, seed):
         seeds.append(seed)
-        return run_trial(n, p, params, seed)
+        records.append(run_trial(n, p, params, seed))
+        return records[-1]
 
     monkeypatch.setattr(experiment, "run_trial", recording_trial)
-    spec = SMALL_SWEEP
-    run_sweep(spec)
-    assert seeds == [trial_seed(spec.master_seed, k, i, spec.trials_per_point)
-                     for k in range(4) for i in range(spec.trials_per_point)]
+    monkeypatch.setattr(experiment, "_run_share", lambda *args: shares.append(run_share(*args)) or shares[-1])
+    # At r = 1 a trial succeeds exactly when its first round does; at r = 2
+    # the four totals of each point differ, so a mixed-up total would show.
+    for spec in (SMALL_SWEEP, dataclasses.replace(SMALL_SWEEP, r=2)):
+        del seeds[:], records[:], shares[:]
+        tpp = spec.trials_per_point
+        results = run_sweep(spec)
+        assert seeds == [trial_seed(spec.master_seed, k, i, tpp) for k in range(4) for i in range(tpp)]
+        # Each point's totals are its trials' records summed field by field,
+        # and its estimate reads each total as the field it sums.
+        totals = [[sum(getattr(rec, name) for rec in records[k * tpp:(k + 1) * tpp])
+                   for name in TrialRecord._fields] for k in range(4)]
+        assert shares == [totals]
+        assert all(type(total) is int for point in totals for total in point)
+        for point, (successes, one_round, residual, rounds) in zip(results, totals):
+            assert point.successes == successes
+            assert point.one_round_fraction == one_round / tpp
+            assert point.mean_residual_edges == residual / tpp
+            assert point.mean_rounds_to_fixpoint == rounds / tpp
 
 
 def test_serial_sweep_keeps_its_own_heap_resident(monkeypatch):
@@ -741,7 +758,7 @@ def test_heap_initializer_pins_both_thresholds():
 
 @needs_fork
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
-def test_heap_initializer_takes_in_a_pool_worker():
+def test_heap_initializer_takes_in_a_forked_worker():
     # A sweep's forked worker, whose thresholds the caller set before the
     # fork, can still set them itself.
     read_end, write_end = os.pipe()
