@@ -86,20 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     p_swp.set_defaults(handler=_cmd_sweep)
     p_swp.add_argument("--config", default=None, help="spec file (JSON or key=value)")
-    # Each spec field's flag has the field's name as dest (see _cmd_sweep).
+    # Each spec field's flag has the field's name as dest and takes its
+    # value as text, which load_spec parses by the field's rule, as it does
+    # a spec file's (see _cmd_sweep).
     p_swp.add_argument("--mode", default=None)
     p_swp.add_argument("--n-values", default=None, help="comma-separated")
-    p_swp.add_argument("-r", "--rounds", dest="r", metavar="ROUNDS", type=int, default=None)
-    p_swp.add_argument("-t", type=int, default=None)
-    p_swp.add_argument("--alpha", type=float, default=None)
+    p_swp.add_argument("-r", "--rounds", dest="r", metavar="ROUNDS", default=None)
+    p_swp.add_argument("-t", default=None)
+    p_swp.add_argument("--alpha", default=None)
     p_swp.add_argument("--c-values", default=None, help="comma-separated")
     p_swp.add_argument("--p-values", default=None, help="comma-separated")
-    p_swp.add_argument("--trials", dest="trials_per_point", metavar="TRIALS", type=int, default=None)
-    p_swp.add_argument("--confidence", type=float, default=None)
+    p_swp.add_argument("--trials", dest="trials_per_point", metavar="TRIALS", default=None)
+    p_swp.add_argument("--confidence", default=None)
     p_swp.add_argument("--workers", type=_workers, default=1,
                        help="processes to run trials on, this one included (the rest are forked);"
                             " capped at the CPUs available (default 1: in-process)")
-    p_swp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None,
+    p_swp.add_argument("--seed", dest="master_seed", metavar="SEED", default=None,
                        help="64-bit master seed (overrides the spec's)")
     p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
 

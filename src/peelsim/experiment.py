@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 # decode and decode_fixpoint are not called here, but stay importable from
@@ -108,6 +108,34 @@ class TrialRecord(NamedTuple):
     fixpoint_rounds: int
 
 
+def _strict_int(key, value):
+    # int() would truncate 1.7 to 1 and accept True as 1.
+    if not isinstance(value, bool) and (isinstance(value, (numbers.Integral, str))
+                                        or isinstance(value, float) and value.is_integer()):
+        try:
+            return int(value)
+        except ValueError:  # text that is not an integer, such as "1.5"
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _strict_float(key, value):
+    # float() would accept True as 1.0.
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _spec_field(convert, default=MISSING, many=False):
+    """A spec field whose value, however it is given, is parsed by
+    convert(name, value); many marks a list field, given as a list or as
+    comma-separated text."""
+    return field(default=default, metadata={"convert": convert, "many": many})
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep description.
@@ -122,26 +150,28 @@ class ExperimentSpec:
     Only LINEAR_REGIME_SWEEP takes alpha.  Exactly one of c_values and
     p_values is given, non-empty; every c is positive and finite and every
     p lies in [0, 1].  master_seed defaults to 0.
+    Each field but mode carries its parser, declared with it: every value
+    given, from Python or from load_spec, is converted by that one rule.
     """
 
     mode: str
-    n_values: tuple[int, ...]
-    r: int
-    trials_per_point: int
-    master_seed: int = 0
-    t: int | None = None
-    alpha: float | None = None
-    c_values: tuple[float, ...] | None = None
-    p_values: tuple[float, ...] | None = None
-    confidence: float = 0.95
+    n_values: tuple[int, ...] = _spec_field(_strict_int, many=True)
+    r: int = _spec_field(_strict_int)
+    trials_per_point: int = _spec_field(_strict_int)
+    master_seed: int = _spec_field(_strict_int, 0)
+    t: int | None = _spec_field(_strict_int, None)
+    alpha: float | None = _spec_field(_strict_float, None)
+    c_values: tuple[float, ...] | None = _spec_field(_strict_float, None, many=True)
+    p_values: tuple[float, ...] | None = _spec_field(_strict_float, None, many=True)
+    confidence: float = _spec_field(_strict_float, 0.95)
 
     def __post_init__(self):
-        # Built in Python or by load_spec, every given field passes the same
-        # strict conversion; None leaves an optional field unset.
+        # None leaves an optional field unset; every other value passes its
+        # field's parser.
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
-                object.__setattr__(self, f.name, _coerce_field(f.name, value))
+                object.__setattr__(self, f.name, _coerce_field(f, value))
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.n_values:
@@ -372,16 +402,18 @@ def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[li
     """Every share's sums, in share order, with share j forked for j >= 1.
 
     Each child inherits spec and points by the fork, runs its share and
-    writes pickle.dumps((ok, sums or exception)) to its own pipe, then
-    leaves with os._exit, so it never returns into the caller's stack.
+    writes pickle.dumps((ok, sums or (exception, traceback text))) to its
+    own pipe (see _portable_error), then leaves with os._exit, so it never
+    returns into the caller's stack.
     The caller runs share 0.  Before each of its trials it polls every
     child's pipe at once (select.poll, which takes fds past 1024), and
     once its share is done it waits on them, in whatever order they
     finish.  A readable pipe is read to EOF and its child reaped: a
-    child's exception is re-raised, and a child that ended without a
-    result raises ChildProcessError.  On any error, including a failed
-    os.fork, every child not yet collected is killed with SIGKILL; every
-    child forked is reaped and every pipe closed.
+    child's exception is re-raised from a _WorkerTraceback that holds the
+    child's traceback, and a child that ended without a result raises
+    ChildProcessError.  On any error, including a failed os.fork, every
+    child not yet collected is killed with SIGKILL; every child forked is
+    reaped and every pipe closed.
     """
     import pickle
     import select
@@ -404,7 +436,7 @@ def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[li
                     try:
                         result = (True, _run_share(spec, points, j, procs))
                     except BaseException as exc:
-                        result = (False, exc)
+                        result = (False, _portable_error(exc))
                     with open(write_end, "wb") as pipe:
                         pipe.write(pickle.dumps(result))
                     code = 0
@@ -431,7 +463,8 @@ def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[li
                     raise ChildProcessError(f"a worker process died before finishing its trials ({how})")
                 ok, value = pickle.loads(data)
                 if not ok:
-                    raise value
+                    exc, trace = value
+                    raise exc from _WorkerTraceback(trace)
                 shares[j] = value
 
         shares[0] = _run_share(spec, points, 0, procs, poll)
@@ -443,6 +476,30 @@ def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[li
             os.kill(pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(pid, 0)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of a worker's exception, as text; the caller raises
+    that exception from this one."""
+
+
+def _portable_error(exc: BaseException) -> tuple[BaseException, str]:
+    """(exc, its traceback text), for a worker to send to the caller.  An
+    exception that does not come back whole through pickle, such as one
+    that holds a lock or whose __init__ takes other arguments than its
+    args, is sent as a ChildProcessError that names its type and message.
+    The caller runs the same code, so what unpickles here unpickles there.
+    """
+    import pickle
+    import traceback  # only on this path: a sweep that runs clean never loads it
+
+    trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        what = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+        exc = ChildProcessError(f"a worker process failed: {what}")
+    return exc, trace
 
 
 def _quantile_point(confidence: float) -> float:
@@ -500,7 +557,9 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
     key=value files take one field per line ('#' starts a comment); list
     fields are comma-separated.  Entries in overrides (same key space)
     replace file values; None overrides are ignored.  A field that nothing
-    gives takes the ExperimentSpec default.
+    gives takes the ExperimentSpec default.  Each value, text or JSON, file
+    entry or override, is parsed by the rule its ExperimentSpec field
+    carries.
     """
     stripped = text.strip()
     raw: dict = {}
@@ -523,62 +582,28 @@ def load_spec(text: str, overrides: dict | None = None) -> ExperimentSpec:
             raw[key] = value
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
+    spec_fields = {f.name: f for f in fields(ExperimentSpec)}
     for key, value in raw.items():
-        if key not in _SPEC_FIELDS:
+        if key not in spec_fields:
             raise ValueError(f"unknown spec field {key!r}")
         if value is None:
             # The spec reads None as "not given", so a JSON null would pass
-            # unchecked; the converter rejects it with the field's rule.
-            _coerce_field(key, value)
+            # unchecked; the field's parser rejects it.
+            _coerce_field(spec_fields[key], value)
     try:
         return ExperimentSpec(**raw)
     except TypeError as exc:
         raise ValueError(f"incomplete spec: {exc}") from None
 
 
-def _coerce_field(key, value):
-    convert = _SPEC_FIELDS[key]
-    if key in _LIST_FIELDS:
+def _coerce_field(f, value):
+    convert = f.metadata.get("convert")
+    if convert is None:  # mode: checked against _MODES, not converted
+        return value
+    if f.metadata["many"]:
         if isinstance(value, str):
             value = [p.strip() for p in value.split(",") if p.strip()]
         elif not isinstance(value, (list, tuple)):
-            raise ValueError(f"{key} must be a list or a comma-separated string, got {value!r}")
-        return tuple(convert(key, v) for v in value)
-    return convert(key, value) if convert else value
-
-
-def _strict_int(key, value):
-    # int() would truncate 1.7 to 1 and accept True as 1.
-    if not isinstance(value, bool) and (isinstance(value, (numbers.Integral, str))
-                                        or isinstance(value, float) and value.is_integer()):
-        try:
-            return int(value)
-        except ValueError:  # text that is not an integer, such as "1.5"
-            pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
-def _strict_float(key, value):
-    # float() would accept True as 1.0.
-    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
-
-
-# Field -> strict converter (None: the mode string is checked, not converted).
-_SPEC_FIELDS = {
-    "mode": None,
-    "n_values": _strict_int,
-    "r": _strict_int,
-    "t": _strict_int,
-    "alpha": _strict_float,
-    "c_values": _strict_float,
-    "p_values": _strict_float,
-    "trials_per_point": _strict_int,
-    "master_seed": _strict_int,
-    "confidence": _strict_float,
-}
-_LIST_FIELDS = ("n_values", "c_values", "p_values")
+            raise ValueError(f"{f.name} must be a list or a comma-separated string, got {value!r}")
+        return tuple(convert(f.name, v) for v in value)
+    return convert(f.name, value)

@@ -323,3 +323,11 @@ def assert_no_child():
     except ChildProcessError:
         return
     raise AssertionError(f"a child process is left: waitpid gave {left}")
+
+
+class TwoArgError(Exception):
+    """An exception that pickles but does not unpickle: pickle rebuilds it
+    as TwoArgError(message), which its __init__ refuses."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}: {b}")

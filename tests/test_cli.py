@@ -13,7 +13,7 @@ import peelsim.experiment as experiment
 from peelsim import CSV_COLUMNS, ExperimentSpec, serialize_graph
 from peelsim.cli import build_parser, main
 
-from helpers import assert_no_child, cap_address_space, path_graph
+from helpers import TwoArgError, assert_no_child, cap_address_space, path_graph
 
 K22_GRID = "XX\nXX\n"
 K22_EDGES = "2 2 4\n0 0\n0 1\n1 0\n1 1\n"
@@ -407,6 +407,27 @@ def test_each_sweep_flag_overrides_its_spec_field(capsys, tmp_path, monkeypatch,
     assert from_file != value and from_flag == value
 
 
+@pytest.mark.parametrize("field", ["r", "t", "trials_per_point", "master_seed", "alpha", "confidence"])
+def test_bad_sweep_flag_value_names_its_field(capsys, tmp_path, field):
+    # The flag's text goes through the field's parser, as in a spec file:
+    # one line, not argparse's usage block.
+    config, (flag, _), _ = SWEEP_FLAGS[field]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), flag, "x"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"peelsim sweep: {field} must be ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text,ok", [(" 2 ", True), ("2_0", True), ("1.0", False), ("1e3", False), ("nan", False)])
+def test_sweep_rounds_flag_takes_integer_text_only(capsys, monkeypatch, tmp_path, text, ok):
+    monkeypatch.setattr("peelsim.cli.run_sweep", lambda spec, workers: ())
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SPEC_SINGLE)
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(cfg), "-r", text])
+    assert (code, err) == ((0, "") if ok else (2, f"peelsim sweep: r must be an integer, got {text!r}\n"))
+
+
 def test_sweep_flags_only(capsys):
     argv = ["sweep", "--mode", "LINEAR_REGIME_SWEEP", "--n-values", "20",
             "--rounds", "1", "--alpha", "0.3", "--p-values", "0.2,0.4",
@@ -629,6 +650,29 @@ def test_sweep_reports_a_dead_worker(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", "2"])
     assert code == 2 and out == ""
     assert err == "peelsim sweep: a worker process died before finishing its trials (exit code 3)\n"
+    assert_no_child()
+
+
+@needs_fork
+def test_sweep_reports_a_worker_error_that_does_not_unpickle(capsys, tmp_path, monkeypatch):
+    # Pickled, the error would come back as TwoArgError("bad: thing"),
+    # which its __init__ refuses: the sweep exits 2 with one line that names
+    # it, not with the TypeError's traceback.
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+    run_trial = experiment.run_trial
+
+    def trial(*args):
+        if os.getpid() != caller:
+            raise TwoArgError("bad", "thing")
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", "2"])
+    assert code == 2 and out == ""
+    assert err == "peelsim sweep: a worker process failed: helpers.TwoArgError: bad: thing\n"
     assert_no_child()
 
 

@@ -6,6 +6,7 @@ import os
 import platform
 import random
 import signal
+import threading
 import time
 
 import numpy as np
@@ -34,7 +35,7 @@ from peelsim import (
     write_results,
 )
 
-from helpers import assert_no_child, exact_four_by_four, exact_success_one_round
+from helpers import TwoArgError, assert_no_child, exact_four_by_four, exact_success_one_round
 
 SMALL_SWEEP = ExperimentSpec(
     mode=CONSTANT_T_SWEEP,
@@ -675,6 +676,67 @@ def test_failed_worker_stops_the_callers_share_within_a_point(monkeypatch, tmp_p
     assert time.perf_counter() - start < 1.0
     assert failed.exists()
     assert 1 <= len(ran) < 5  # of the caller's 40
+    assert_no_child()
+
+
+def _fail_in_the_worker(monkeypatch, error):
+    """Patch run_trial to raise error() in every forked worker."""
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def trial(*args):
+        if os.getpid() != caller:
+            raise error()
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiment, "run_trial", trial)
+
+
+@needs_fork
+def test_a_worker_error_that_does_not_pickle_is_named(monkeypatch):
+    # The lock does not pickle, so the worker sends a ChildProcessError
+    # that names the error instead of dying with it unsent.
+    def locked_error():
+        exc = RuntimeError("worker failed with a lock")
+        exc.lock = threading.Lock()
+        return exc
+
+    _fail_in_the_worker(monkeypatch, locked_error)
+    with pytest.raises(ChildProcessError) as info:
+        run_sweep(_single_point(4), workers=2)
+    assert str(info.value) == "a worker process failed: RuntimeError: worker failed with a lock"
+    assert_no_child()
+
+
+@needs_fork
+def test_a_worker_error_that_does_not_unpickle_is_named(monkeypatch):
+    # Sent as it is, TwoArgError would raise a TypeError from pickle.loads
+    # in the caller.
+    _fail_in_the_worker(monkeypatch, lambda: TwoArgError("bad", "thing"))
+    with pytest.raises(ChildProcessError) as info:
+        run_sweep(_single_point(4), workers=2)
+    assert str(info.value) == "a worker process failed: helpers.TwoArgError: bad: thing"
+    assert_no_child()
+
+
+@needs_fork
+def test_a_worker_error_carries_the_workers_traceback(monkeypatch):
+    def raise_in_the_worker():
+        raise ValueError("trial failed in the worker")
+
+    def error():
+        try:
+            raise_in_the_worker()
+        except ValueError as exc:
+            return exc
+
+    _fail_in_the_worker(monkeypatch, error)
+    with pytest.raises(ValueError, match="^trial failed in the worker$") as info:
+        run_sweep(_single_point(4), workers=2)
+    cause = str(info.value.__cause__)
+    assert cause.startswith("Traceback (most recent call last):")
+    assert "in raise_in_the_worker" in cause
+    assert cause.endswith("ValueError: trial failed in the worker\n")
     assert_no_child()
 
 
