@@ -10,6 +10,7 @@ shows the cliff and, below it, the exact chance that a row is too heavy
 for one round.
 """
 
+import dataclasses
 import math
 
 from peelsim import LINEAR_REGIME_SWEEP, ExperimentSpec, linear_regime_prediction, run_sweep
@@ -26,9 +27,13 @@ for p, rounds in ((0.2, 1), (0.25, 1), (0.35, 8), (0.4, 8)):
         p_values=(p,), trials_per_point=400, master_seed=9,
     )
     est = run_sweep(spec)[0]
+    # The same trials at r = 1: seeds do not depend on r, and here neither
+    # does p (it is raw; in the c modes p moves with r), so this run decodes
+    # the very patterns above with one row round.
+    one_round = est if rounds == 1 else run_sweep(dataclasses.replace(spec, r=1))[0]
     verdict = linear_regime_prediction(p, alpha)
     print(f"p={p:.2f} r={rounds}: measured success {est.p_hat:.3f} "
-          f"(one-round fraction {est.one_round_fraction:.3f}), predicted {verdict}")
+          f"(one-round fraction {one_round.p_hat:.3f}), predicted {verdict}")
 
 print()
 print("the verdicts are limits: close to the cliff (p=0.25 here) the finite-n")

@@ -56,14 +56,6 @@ _AXES = {
 }
 _MODES = tuple(_AXES)
 
-# (column, PointEstimate attribute): the one table behind the CSV header,
-# the CSV rows and the JSON keys.
-_COLUMNS = tuple((name, name) for name in (
-    "mode", "n", "r", "t_or_alpha", "c_or_p", "trials", "successes",
-    "p_hat", "ci_low", "ci_high", "theory", "mean_residual_edges",
-)) + (("mean_rounds", "mean_rounds_to_fixpoint"),)
-CSV_COLUMNS = ",".join(name for name, _ in _COLUMNS)
-
 _MASK64 = 2**64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -94,16 +86,13 @@ class TrialRecord(NamedTuple):
 
     success and residual_edges are those of ``decode`` with the trial's
     params; fixpoint_rounds is the effective round count of
-    ``decode_fixpoint`` on the same pattern.  one_round_success reports
-    whether a single row round alone finishes the pattern (every row within
-    capability); it is read off the fixpoint run, whose first round decodes
-    rows.  ``run_trial`` computes all four without building either outcome.
-    A sweep point's totals are these fields summed over its trials, in this
-    order.
+    ``decode_fixpoint`` on the same pattern.  ``run_trial`` computes all
+    three without building either outcome.  A sweep point's totals are
+    these fields summed over its trials, in this order, which is the order
+    of the PointEstimate columns they feed.
     """
 
     success: bool
-    one_round_success: bool
     residual_edges: int
     fixpoint_rounds: int
 
@@ -215,12 +204,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class PointEstimate:
-    """Aggregated estimate for one sweep point.
+    """Aggregated estimate for one sweep point: one results row.
 
-    theory carries the asymptotic success probability (constant-capability
-    modes) or the linear-regime verdict string.  one_round_fraction is the
-    fraction of trials a single row round would already finish; it is a
-    diagnostic and is not serialized.
+    The fields are the result columns, in column order; the CSV header and
+    rows and the JSON keys are read off them.  theory carries the
+    asymptotic success probability (constant-capability modes) or the
+    linear-regime verdict string.
     """
 
     mode: str
@@ -235,8 +224,11 @@ class PointEstimate:
     ci_high: float
     theory: float | str
     mean_residual_edges: float
-    mean_rounds_to_fixpoint: float
-    one_round_fraction: float
+    mean_rounds: float
+
+
+_COLUMN_NAMES = tuple(f.name for f in fields(PointEstimate))
+CSV_COLUMNS = ",".join(_COLUMN_NAMES)
 
 
 def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
@@ -264,7 +256,6 @@ def run_trial(n: int, p: float, params: DecodeParams, seed: int) -> TrialRecord:
     run.peel(ROWS)
     return TrialRecord(
         success=residual_edges == 0,
-        one_round_success=run.live_edges == 0 and run.last_removal <= 1,
         residual_edges=residual_edges,
         fixpoint_rounds=run.last_removal,
     )
@@ -313,7 +304,7 @@ def _run_share(spec: ExperimentSpec, points: list[dict], first: int, step: int,
 
 
 def _estimate(spec: ExperimentSpec, task: dict, sums) -> PointEstimate:
-    successes, one_round, residual_sum, fixpoint_sum = sums
+    successes, residual_sum, fixpoint_sum = sums
     trials = spec.trials_per_point
     ci_low, ci_high = wilson_interval(successes, trials, spec.confidence)
     return PointEstimate(
@@ -329,8 +320,7 @@ def _estimate(spec: ExperimentSpec, task: dict, sums) -> PointEstimate:
         ci_high=ci_high,
         theory=task["theory"],
         mean_residual_edges=residual_sum / trials,
-        mean_rounds_to_fixpoint=fixpoint_sum / trials,
-        one_round_fraction=one_round / trials,
+        mean_rounds=fixpoint_sum / trials,
     )
 
 
@@ -543,10 +533,10 @@ def write_results(results, fmt: str = "csv") -> str:
     """Serialize point estimates; CSV floats carry 6 significant digits, the
     JSON mirror keeps full precision."""
     if fmt == "csv":
-        rows = (",".join(_fmt(getattr(r, attr)) for _, attr in _COLUMNS) for r in results)
+        rows = (",".join(_fmt(getattr(r, name)) for name in _COLUMN_NAMES) for r in results)
         return "\n".join([CSV_COLUMNS, *rows]) + "\n"
     if fmt == "json":
-        rows = [{name: getattr(r, attr) for name, attr in _COLUMNS} for r in results]
+        rows = [{name: getattr(r, name) for name in _COLUMN_NAMES} for r in results]
         return json.dumps(rows, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown results format {fmt!r}")
 

@@ -77,14 +77,13 @@ def test_trial_seed_ignores_nothing():
 def test_trial_p_zero_succeeds():
     rec = run_trial(10, 0.0, DecodeParams(1, 1), seed=3)
     assert rec.success and rec.residual_edges == 0
-    assert rec.one_round_success and rec.fixpoint_rounds == 0
+    assert rec.fixpoint_rounds == 0
 
 
 def test_trial_p_one_fails():
     rec = run_trial(10, 1.0, DecodeParams(1, 1), seed=3)
     assert not rec.success
     assert rec.residual_edges == 100
-    assert not rec.one_round_success
 
 
 def test_trial_determinism():
@@ -93,9 +92,10 @@ def test_trial_determinism():
     assert a == b
 
 
-def test_one_round_success_means_every_row_within_capability():
-    # run_trial reads this off the fixpoint run; check it against the row
-    # degrees of the same sampled graph, without the decoder.
+def test_one_round_trial_succeeds_when_every_row_is_within_capability():
+    # A one-round trial succeeds exactly when every row of its pattern is
+    # within capability; check it against the row degrees of the same
+    # sampled graph, without the decoder.
     for n in (12, 30):
         for t in range(4):
             for c in (0.5, 1.0, 2.0, 4.0):
@@ -103,8 +103,7 @@ def test_one_round_success_means_every_row_within_capability():
                 for seed in range(10):
                     g = sample_bipartite(n, n, p, seed)
                     expect = g.edge_count == 0 or np.bincount(g.u).max() <= t
-                    rec = run_trial(n, p, DecodeParams(1 + seed % 3, t), seed)
-                    assert rec.one_round_success == expect, (n, t, c, seed)
+                    assert run_trial(n, p, DecodeParams(1, t), seed).success == expect, (n, t, c, seed)
 
 
 def _reference_trial(n, p, params, seed):
@@ -115,7 +114,6 @@ def _reference_trial(n, p, params, seed):
     return TrialRecord(
         success=limited.success,
         residual_edges=limited.residual.edge_count,
-        one_round_success=fix.success and fix.rounds_executed <= 1,
         fixpoint_rounds=fix.rounds_executed,
     )
 
@@ -307,8 +305,35 @@ def test_sweep_points_sorted_and_themed():
         assert 0.0 <= p.ci_low <= p.p_hat <= p.ci_high <= 1.0
         assert p.theory == asymptotic_success(p.c_or_p, 1, 1)
         assert p.mean_residual_edges >= 0.0
-        assert p.mean_rounds_to_fixpoint >= 0.0
-        assert 0.0 <= p.one_round_fraction <= 1.0
+        assert p.mean_rounds >= 0.0
+
+
+def test_raw_p_trials_sample_the_same_patterns_at_every_r(monkeypatch):
+    # Trial seeds do not depend on r, and neither does a raw p, so a raw-p
+    # sweep samples the same patterns at every r; a c sweep does not, since
+    # its p moves with r through the threshold.
+    calls = []
+
+    def recording_sample(*args):
+        calls.append(args)
+        return sample_bipartite(*args)
+
+    monkeypatch.setattr(experiment, "sample_bipartite", recording_sample)
+
+    def sampled(spec, r):
+        del calls[:]
+        run_sweep(dataclasses.replace(spec, r=r))
+        return [(n, p, seed) for n, _, p, seed in calls]
+
+    linear = ExperimentSpec(LINEAR_REGIME_SWEEP, (30, 20), 1, 6, 4, alpha=0.3, p_values=(0.35, 0.2))
+    single = ExperimentSpec(SINGLE_POINT, (25,), 1, 6, 4, t=2, p_values=(0.1,))
+    for spec, r in ((linear, 8), (single, 3)):
+        assert len(sampled(spec, 1)) == 6 * len(spec.n_values) * len(spec.p_values)
+        assert sampled(spec, r) == sampled(spec, 1)
+    by_c = dataclasses.replace(single, p_values=None, c_values=(1.0,))
+    one, two = sampled(by_c, 1), sampled(by_c, 2)
+    assert [seed for *_, seed in one] == [seed for *_, seed in two]
+    assert {p for _, p, _ in one}.isdisjoint(p for _, p, _ in two)
 
 
 def test_sweep_deterministic_and_worker_independent():
@@ -596,25 +621,32 @@ def test_late_error_in_a_worker_stops_the_other_workers(monkeypatch, tmp_path):
     assert_no_child()
 
 
+def _wait_for(path):
+    for _ in range(600):  # path appears within 30 s, or the test fails
+        if path.exists():
+            return
+        time.sleep(0.05)
+
+
 @needs_fork
 def test_dead_worker_stops_the_callers_share_early(monkeypatch, tmp_path):
-    # The worker dies at its first trial, as under the OOM killer, while
+    # The worker dies at its first trial, as under the OOM killer, once the
+    # caller has entered its own first trial (so past its first poll), while
     # each of the caller's trials waits for that death and then takes a
     # while: checked only after the caller's whole share, the sweep would
     # run all six of the caller's trials, one per point, before it failed.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     caller = os.getpid()
-    died = tmp_path / "died"
+    started, died = tmp_path / "started", tmp_path / "died"
     ran = []
 
     def trial(*args):
         if os.getpid() != caller:
+            _wait_for(started)
             died.touch()
             os._exit(3)
-        for _ in range(600):  # the worker dies within 30 s, or the test fails
-            if died.exists():
-                break
-            time.sleep(0.05)
+        started.touch()
+        _wait_for(died)
         time.sleep(0.3)
         ran.append(args[-1])
         return run_trial(*args)
@@ -648,23 +680,23 @@ def test_a_worker_killed_by_a_signal_is_named(monkeypatch):
 
 @needs_fork
 def test_failed_worker_stops_the_callers_share_within_a_point(monkeypatch, tmp_path):
-    # One point of 80 trials.  The worker raises at its first trial, and
-    # each of the caller's 40 trials takes 0.05 s once that has happened:
-    # checked only after the point, the sweep would run all 40 of them,
-    # for 2 s, before it failed.
+    # One point of 80 trials.  The worker raises at its first trial, once
+    # the caller has entered its own first trial (so past its first poll),
+    # and each of the caller's 40 trials takes 0.05 s once that has
+    # happened: checked only after the point, the sweep would run all 40 of
+    # them, for 2 s, before it failed.
     monkeypatch.setattr(experiment, "_available_cpus", lambda: 2)
     caller = os.getpid()
-    failed = tmp_path / "failed"
+    started, failed = tmp_path / "started", tmp_path / "failed"
     ran = []
 
     def trial(*args):
         if os.getpid() != caller:
+            _wait_for(started)
             failed.touch()
             raise RuntimeError("trial failed in the worker")
-        for _ in range(600):  # the worker fails within 30 s, or the test fails
-            if failed.exists():
-                break
-            time.sleep(0.05)
+        started.touch()
+        _wait_for(failed)
         time.sleep(0.05)
         ran.append(args[-1])
         return run_trial(*args)
@@ -758,7 +790,7 @@ def test_serial_sweep_runs_trials_point_major_in_order(monkeypatch):
     monkeypatch.setattr(experiment, "run_trial", recording_trial)
     monkeypatch.setattr(experiment, "_run_share", lambda *args: shares.append(run_share(*args)) or shares[-1])
     # At r = 1 a trial succeeds exactly when its first round does; at r = 2
-    # the four totals of each point differ, so a mixed-up total would show.
+    # the three totals of each point differ, so a mixed-up total would show.
     for spec in (SMALL_SWEEP, dataclasses.replace(SMALL_SWEEP, r=2)):
         del seeds[:], records[:], shares[:]
         tpp = spec.trials_per_point
@@ -770,11 +802,10 @@ def test_serial_sweep_runs_trials_point_major_in_order(monkeypatch):
                    for name in TrialRecord._fields] for k in range(4)]
         assert shares == [totals]
         assert all(type(total) is int for point in totals for total in point)
-        for point, (successes, one_round, residual, rounds) in zip(results, totals):
+        for point, (successes, residual, rounds) in zip(results, totals):
             assert point.successes == successes
-            assert point.one_round_fraction == one_round / tpp
             assert point.mean_residual_edges == residual / tpp
-            assert point.mean_rounds_to_fixpoint == rounds / tpp
+            assert point.mean_rounds == rounds / tpp
 
 
 def test_serial_sweep_keeps_its_own_heap_resident(monkeypatch):
@@ -901,7 +932,7 @@ def test_json_round_trip():
         assert row["n"] == point.n
         assert row["p_hat"] == point.p_hat
         assert row["theory"] == point.theory
-        assert row["mean_rounds"] == point.mean_rounds_to_fixpoint
+        assert row["mean_rounds"] == point.mean_rounds
 
 
 # SHA-256 of the CSV and JSON of one small sweep per mode: any change to the
