@@ -11,6 +11,11 @@ to fit in memory, on a sweep worker process that dies and on theory
 tables of more than 10,000 rows.  Only gen and sweep draw random
 numbers, and all of them flow from --seed (gen: default 0; sweep: the
 spec's master_seed, default 0); nothing reads the clock.
+
+`peelsim NAME ...` builds only NAME's parser; any other command line
+(none, -h, an unknown word, --) builds the whole tree.  Both are made from
+one declaration per subcommand, so each prints the same help, usage and
+errors either way.  No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -33,83 +38,105 @@ __all__ = ["build_parser", "main"]
 _MAX_THEORY_ROWS = 10_000
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser.  It reports a flag it does not take itself,
-    under its own usage line, instead of passing it up to the top-level
-    parser."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extra = super().parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return namespace, extra
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="peelsim", description=__doc__)
-    # Each subparser names its handler; dest gives main its error prefix.
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    """The whole command tree: the top-level parser and each subcommand's."""
+    # The help shows the docstring up to its last paragraph, which says how
+    # parsers are built (under -OO there is no docstring).
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = argparse.ArgumentParser(prog="peelsim", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _) in _SUBCOMMANDS.items():
+        _declare(sub.add_parser(name, help=summary), name)
+    return parser
 
-    p_gen = sub.add_parser("gen", help="sample a random erasure pattern")
-    p_gen.set_defaults(handler=_cmd_gen)
-    p_gen.add_argument("-n", "--n-left", type=int, required=True)
-    p_gen.add_argument("--n-right", type=int, default=None, help="defaults to n-left")
-    p_gen.add_argument("-p", type=float, required=True, help="per-cell erasure probability")
-    p_gen.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
 
-    p_dec = sub.add_parser("decode", help="run the peeling decoder")
-    p_dec.set_defaults(handler=_cmd_decode)
-    _input_flags(p_dec)
-    steps = p_dec.add_mutually_exclusive_group(required=True)
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """NAME's parser alone.  It prints the same help, usage and errors as
+    NAME's subparser in build_parser's tree, at a fraction of the tree's
+    cost."""
+    return _declare(argparse.ArgumentParser(prog=f"peelsim {name}"), name)
+
+
+def _declare(p, name):
+    _, flags, formats = _SUBCOMMANDS[name]
+    flags(p)
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--output", default=None, help="write to this file instead of stdout")
+    # command gives main its error prefix.
+    p.set_defaults(command=name)
+    return p
+
+
+def _gen_flags(p):
+    p.set_defaults(handler=_cmd_gen)
+    p.add_argument("-n", "--n-left", type=int, required=True)
+    p.add_argument("--n-right", type=int, default=None, help="defaults to n-left")
+    p.add_argument("-p", type=float, required=True, help="per-cell erasure probability")
+    p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+
+
+def _decode_flags(p):
+    p.set_defaults(handler=_cmd_decode)
+    _input_flags(p)
+    steps = p.add_mutually_exclusive_group(required=True)
     steps.add_argument("-r", "--rounds", type=int)
     steps.add_argument("--fixpoint", action="store_true", help="peel until nothing moves")
-    p_dec.add_argument("-t", type=int, required=True)
-    p_dec.add_argument("--strict", action="store_true", help="exit 1 when decoding fails")
+    p.add_argument("-t", type=int, required=True)
+    p.add_argument("--strict", action="store_true", help="exit 1 when decoding fails")
 
-    p_det = sub.add_parser("detect", help="find failure witnesses")
-    p_det.set_defaults(handler=_cmd_detect)
-    _input_flags(p_det)
-    p_det.add_argument("--kind", choices=("config", "cycle", "trees"), default="config")
-    p_det.add_argument("-r", "--rounds", type=int, default=None)
-    p_det.add_argument("-t", type=int, default=None)
-    p_det.add_argument("--max-len", type=int, default=4, help="cycle length bound (even, >= 4)")
 
-    p_thy = sub.add_parser("theory", help="closed-form predictions")
-    p_thy.set_defaults(handler=_cmd_theory)
-    p_thy.add_argument("-r", type=int, required=True)
-    p_thy.add_argument("-t", type=int, required=True)
-    p_thy.add_argument("--r-max", type=int, default=None, help="table up to this r")
-    p_thy.add_argument("--t-max", type=int, default=None, help="table up to this t")
-    p_thy.add_argument("-c", type=float, default=None, help="also report asymptotic success at c")
-    p_thy.add_argument("-n", type=int, default=None, help="also report threshold_p at n")
+def _detect_flags(p):
+    p.set_defaults(handler=_cmd_detect)
+    _input_flags(p)
+    p.add_argument("--kind", choices=("config", "cycle", "trees"), default="config")
+    p.add_argument("-r", "--rounds", type=int, default=None)
+    p.add_argument("-t", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=4, help="cycle length bound (even, >= 4)")
 
-    p_swp = sub.add_parser("sweep", help="run a Monte Carlo sweep")
-    p_swp.set_defaults(handler=_cmd_sweep)
-    p_swp.add_argument("--config", default=None, help="spec file (JSON or key=value)")
+
+def _theory_flags(p):
+    p.set_defaults(handler=_cmd_theory)
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-t", type=int, required=True)
+    p.add_argument("--r-max", type=int, default=None, help="table up to this r")
+    p.add_argument("--t-max", type=int, default=None, help="table up to this t")
+    p.add_argument("-c", type=float, default=None, help="also report asymptotic success at c")
+    p.add_argument("-n", type=int, default=None, help="also report threshold_p at n")
+
+
+def _sweep_flags(p):
+    p.set_defaults(handler=_cmd_sweep)
+    p.add_argument("--config", default=None, help="spec file (JSON or key=value)")
     # Each spec field's flag has the field's name as dest and takes its
     # value as text, which load_spec parses by the field's rule, as it does
     # a spec file's (see _cmd_sweep).
-    p_swp.add_argument("--mode", default=None)
-    p_swp.add_argument("--n-values", default=None, help="comma-separated")
-    p_swp.add_argument("-r", "--rounds", dest="r", metavar="ROUNDS", default=None)
-    p_swp.add_argument("-t", default=None)
-    p_swp.add_argument("--alpha", default=None)
-    p_swp.add_argument("--c-values", default=None, help="comma-separated")
-    p_swp.add_argument("--p-values", default=None, help="comma-separated")
-    p_swp.add_argument("--trials", dest="trials_per_point", metavar="TRIALS", default=None)
-    p_swp.add_argument("--confidence", default=None)
-    p_swp.add_argument("--workers", type=_workers, default=1,
-                       help="processes to run trials on, this one included (the rest are forked);"
-                            " capped at the CPUs available (default 1: in-process)")
-    p_swp.add_argument("--seed", dest="master_seed", metavar="SEED", default=None,
-                       help="64-bit master seed (overrides the spec's)")
-    p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--mode", default=None)
+    p.add_argument("--n-values", default=None, help="comma-separated")
+    p.add_argument("-r", "--rounds", dest="r", metavar="ROUNDS", default=None)
+    p.add_argument("-t", default=None)
+    p.add_argument("--alpha", default=None)
+    p.add_argument("--c-values", default=None, help="comma-separated")
+    p.add_argument("--p-values", default=None, help="comma-separated")
+    p.add_argument("--trials", dest="trials_per_point", metavar="TRIALS", default=None)
+    p.add_argument("--confidence", default=None)
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="processes to run trials on, this one included (the rest are forked);"
+                        " capped at the CPUs available (default 1: in-process)")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", default=None,
+                   help="64-bit master seed (overrides the spec's)")
 
-    for p in (p_dec, p_det, p_thy):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-    for p in sub.choices.values():
-        p.add_argument("--output", default=None, help="write to this file instead of stdout")
-    return parser
+
+# Each subcommand, in help order: its one-line summary, the function that
+# declares its own flags and handler, and its --format choices (the first
+# is the default), if it has any.
+_SUBCOMMANDS = {
+    "gen": ("sample a random erasure pattern", _gen_flags, ()),
+    "decode": ("run the peeling decoder", _decode_flags, ("text", "json")),
+    "detect": ("find failure witnesses", _detect_flags, ("text", "json")),
+    "theory": ("closed-form predictions", _theory_flags, ("text", "json")),
+    "sweep": ("run a Monte Carlo sweep", _sweep_flags, ("csv", "json")),
+}
 
 
 def _workers(text):
@@ -145,7 +172,13 @@ def _emit(args, text: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # `peelsim NAME ...` builds NAME's parser alone; any other argv (none,
+    # -h, an unknown word, --) gets the whole tree and its top-level errors.
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser, argv = _subcommand_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

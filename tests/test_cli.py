@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import peelsim.cli as cli
 import peelsim.experiment as experiment
 from peelsim import CSV_COLUMNS, ExperimentSpec, serialize_graph
 from peelsim.cli import build_parser, main
@@ -718,6 +719,57 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["gen", "--frobnicate"]) == 2
     capsys.readouterr()
+
+
+SUBCOMMAND_RUNS = {
+    "gen": ["gen", "-n", "2", "-p", "0"],
+    "decode": ["decode", "--edges", "{edges}", "--fixpoint", "-t", "1"],
+    "detect": ["detect", "--edges", "{edges}", "--kind", "cycle"],
+    "theory": ["theory", "-r", "1", "-t", "1"],
+    "sweep": ["sweep", "--mode", "SINGLE_POINT", "--n-values", "8", "-r", "1", "-t", "1",
+              "--c-values", "1", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_RUNS)
+def test_a_named_subcommand_never_builds_the_whole_tree(capsys, monkeypatch, k22_edges, name):
+    def whole_tree():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", whole_tree)
+    assert run_cli(capsys, [arg.format(edges=k22_edges) for arg in SUBCOMMAND_RUNS[name]])[0] == 0
+    code, out, _ = run_cli(capsys, [name, "--help"])
+    assert code == 0 and out.startswith(f"usage: peelsim {name} ")
+
+
+@pytest.mark.parametrize("argv,expect", [([], 2), (["-h"], 0), (["frobnicate"], 2)],
+                         ids=["none", "help", "unknown"])
+def test_any_other_argv_builds_the_whole_tree(capsys, monkeypatch, argv, expect):
+    built = []
+
+    def whole_tree():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", whole_tree)
+    code, out, err = run_cli(capsys, argv)
+    assert code == expect and len(built) == 1
+    assert (out + err).startswith("usage: peelsim [-h] {gen,decode,detect,theory,sweep} ...\n")
+
+
+def test_each_subcommand_parser_prints_what_its_subparser_in_the_tree_prints():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    # So the tests above run every subcommand on its own parser.
+    assert list(sub.choices) == list(SUBCOMMAND_RUNS)
+    for name, in_tree in sub.choices.items():
+        alone = cli._subcommand_parser(name)
+        assert alone.format_usage() == in_tree.format_usage()
+        assert alone.format_help() == in_tree.format_help()
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["peelsim", "theory", "-r", "1", "-t", "1"])
+    assert run_cli(capsys, None) == run_cli(capsys, ["theory", "-r", "1", "-t", "1"])
 
 
 def test_each_subcommand_declares_only_the_shared_flags_it_reads():
