@@ -120,7 +120,7 @@ def _sweep_flags(p):
     p.add_argument("--p-values", default=None, help="comma-separated")
     p.add_argument("--trials", dest="trials_per_point", metavar="TRIALS", default=None)
     p.add_argument("--confidence", default=None)
-    p.add_argument("--workers", type=_workers, default=1,
+    p.add_argument("--workers", type=int, default=1,
                    help="processes to run trials on, this one included (the rest are forked);"
                         " capped at the CPUs available (default 1: in-process)")
     p.add_argument("--seed", dest="master_seed", metavar="SEED", default=None,
@@ -137,16 +137,6 @@ _SUBCOMMANDS = {
     "theory": ("closed-form predictions", _theory_flags, ("text", "json")),
     "sweep": ("run a Monte Carlo sweep", _sweep_flags, ("csv", "json")),
 }
-
-
-def _workers(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
 
 
 def _input_flags(p):

@@ -3,12 +3,10 @@
 Reproducibility contract: every trial's seed is derived from
 (master_seed, point_index, trial_index) by SplitMix64, so results are a
 pure function of the experiment spec.  Points are processed in sorted
-(n, c_or_p) order.  With k processes, process j runs every k-th trial of
-the point-major sequence from trial j, and returns integer sums per point
-that are added before any float is formed, so the output is byte-identical
-at any worker count.  The k - 1 processes besides the caller are forked
-directly with os.fork and report through a pipe each; no process pool is
-involved.
+(n, c_or_p) order.  A sweep's trials are split over its processes, which
+return integer sums per point that are added before any float is formed,
+so the output is byte-identical at any worker count.  One driver,
+_run_shares, splits, forks and collects them at every process count.
 """
 
 from __future__ import annotations
@@ -365,13 +363,10 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
 
     The sweep runs on procs = min(workers, its trial count, CPUs available
     to this process) processes, the calling one included; where os.fork
-    does not exist, procs is 1.  Process j runs trials j, j + procs, ... of
-    the point-major sequence (see _run_share), and the calling process runs
-    share 0.  Integer sums per point are added over the shares, so the
-    result does not depend on who ran a trial, and with one process
-    run_trial is called in point-major, trial-ascending order.  With more,
-    see _run_forked: a worker's error is raised in the caller before its
-    next trial, and no worker outlives the call.
+    does not exist, procs is 1.  With one process, run_trial is called
+    here in point-major, trial-ascending order; with more, a worker's error
+    is raised here before the caller's next trial, and no worker outlives
+    the call (see _run_shares).
 
     The calling process keeps freed trial arrays resident, setting its
     glibc mmap and trim thresholds for the rest of its life (see
@@ -379,31 +374,32 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> tuple[PointEstimate, ..
     """
     workers = _integer(workers, 1, "workers must be an integer >= 1, got {!r}")
     points = _point_tasks(spec)
-    procs = min(workers, _available_cpus(), len(points) * spec.trials_per_point)
+    procs = min(workers if hasattr(os, "fork") else 1, _available_cpus(),
+                len(points) * spec.trials_per_point)
     _keep_heap_resident()
-    if procs > 1 and hasattr(os, "fork"):
-        shares = _run_forked(spec, points, procs)
-    else:
-        shares = [_run_share(spec, points, 0, 1)]
+    shares = _run_shares(spec, points, procs)
     return tuple(_estimate(spec, task, map(sum, zip(*sums))) for task, *sums in zip(points, *shares))
 
 
-def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[list[list[int]]]:
-    """Every share's sums, in share order, with share j forked for j >= 1.
+def _run_shares(spec: ExperimentSpec, points: list[dict], procs: int) -> list[list[list[int]]]:
+    """Every share's sums, in share order, from procs processes.
 
+    Share j is trials j, j + procs, ... of the point-major sequence (see
+    _run_share).  The caller runs share 0 and forks one child, with
+    os.fork and a pipe each and no process pool, for every other share, so
+    at procs = 1 it forks nothing, opens no pipe and polls nothing.
     Each child inherits spec and points by the fork, runs its share and
     writes pickle.dumps((ok, sums or (exception, traceback text))) to its
     own pipe (see _portable_error), then leaves with os._exit, so it never
     returns into the caller's stack.
-    The caller runs share 0.  Before each of its trials it polls every
-    child's pipe at once (select.poll, which takes fds past 1024), and
-    once its share is done it waits on them, in whatever order they
-    finish.  A readable pipe is read to EOF and its child reaped: a
-    child's exception is re-raised from a _WorkerTraceback that holds the
-    child's traceback, and a child that ended without a result raises
-    ChildProcessError.  On any error, including a failed os.fork, every
-    child not yet collected is killed with SIGKILL; every child forked is
-    reaped and every pipe closed.
+    Before each of its trials the caller polls every child's pipe at once
+    (select.poll, which takes fds past 1024), and once its share is done it
+    waits on them, in whatever order they finish.  A readable pipe is read
+    to EOF and its child reaped: a child's exception is re-raised from a
+    _WorkerTraceback that holds the child's traceback, and a child that
+    ended without a result raises ChildProcessError.  On any error,
+    including a failed os.fork, every child not yet collected is killed
+    with SIGKILL; every child forked is reaped and every pipe closed.
     """
     import pickle
     import select
@@ -434,9 +430,10 @@ def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[li
                     os._exit(code)
             os.close(write_end)
             pending[read_end] = j, pid
-        poller = select.poll()
-        for fd in pending:
-            poller.register(fd, select.POLLIN)
+        if pending:
+            poller = select.poll()
+            for fd in pending:
+                poller.register(fd, select.POLLIN)
 
         def poll(timeout=0):
             for fd, _ in poller.poll(timeout):
@@ -457,7 +454,7 @@ def _run_forked(spec: ExperimentSpec, points: list[dict], procs: int) -> list[li
                     raise exc from _WorkerTraceback(trace)
                 shares[j] = value
 
-        shares[0] = _run_share(spec, points, 0, procs, poll)
+        shares[0] = _run_share(spec, points, 0, procs, poll if pending else None)
         while pending:
             poll(None)
         return shares

@@ -455,7 +455,18 @@ def test_sweep_rejects_bad_worker_counts(capsys, tmp_path, workers):
     cfg.write_text(SWEEP_CONFIG)
     code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", workers])
     assert code == 2 and out == ""
-    assert "--workers" in err
+    assert "workers" in err
+
+
+def test_sweep_on_no_workers_exits_two_before_any_trial(capsys, tmp_path, monkeypatch):
+    # argparse reads --workers as any integer; run_sweep alone checks its
+    # range, before the first trial.
+    monkeypatch.setattr(experiment, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--workers", "0"])
+    assert code == 2 and out == ""
+    assert err == "peelsim sweep: workers must be an integer >= 1, got 0\n"
 
 
 def test_sweep_json(capsys, tmp_path):

@@ -390,13 +390,14 @@ def sweep_log(monkeypatch, tmp_path):
     """Logs forks, shares and trials (see _SweepLog), and refuses, before
     any fork, a sweep of more than three processes."""
     log = _SweepLog(tmp_path / "sweep.log")
-    run_forked, run_share, fork = experiment._run_forked, experiment._run_share, os.fork
+    run_shares, run_share, fork = experiment._run_shares, experiment._run_share, os.fork
     share = [None]  # this process's current share, inherited by a fork
 
-    def forked(spec, points, procs):
+    def logged_shares(spec, points, procs):
         assert procs <= 3, f"a test sweep asked for {procs} processes"
-        log.procs.append(procs)
-        return run_forked(spec, points, procs)
+        if procs > 1:
+            log.procs.append(procs)
+        return run_shares(spec, points, procs)
 
     def logged_fork():
         log.write("fork", os.getpid())
@@ -411,7 +412,7 @@ def sweep_log(monkeypatch, tmp_path):
         log.write("trial", os.getpid(), share[0], args[-1])
         return run_trial(*args)
 
-    monkeypatch.setattr(experiment, "_run_forked", forked)
+    monkeypatch.setattr(experiment, "_run_shares", logged_shares)
     monkeypatch.setattr(experiment, "_run_share", logged_share)
     monkeypatch.setattr(experiment, "run_trial", logged_trial)
     monkeypatch.setattr(os, "fork", logged_fork)
@@ -812,7 +813,7 @@ def test_serial_sweep_keeps_its_own_heap_resident(monkeypatch):
     # With one process the trials run here, so this process pins the
     # thresholds itself, once per sweep and before its first trial.
     events = []
-    monkeypatch.setattr(experiment, "_run_forked", lambda *args: pytest.fail("a serial sweep forked"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a serial sweep forked"), raising=False)
     monkeypatch.setattr(experiment, "_keep_heap_resident", lambda: events.append("heap"))
     monkeypatch.setattr(experiment, "run_trial", lambda *args: events.append("trial") or run_trial(*args))
     run_sweep(_single_point(3))
@@ -956,6 +957,40 @@ def test_results_bytes_are_pinned(fields, csv_sha, json_sha):
     results = run_sweep(ExperimentSpec(trials_per_point=20, master_seed=5, **fields))
     for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
         assert hashlib.sha256(write_results(results, fmt).encode()).hexdigest() == sha, fmt
+
+
+def test_a_one_process_sweep_touches_no_process_machinery(monkeypatch):
+    # A one-process sweep takes the forking driver too, but opens no pipe,
+    # forks nothing, builds no poll and runs its one share unpolled, where
+    # one worker is asked for, where one CPU caps three and where os.fork
+    # does not exist.  Each writes the pinned bytes.
+    import select
+
+    fields, csv_sha, json_sha = GOLDEN_SWEEPS[0]
+    spec = ExperimentSpec(trials_per_point=20, master_seed=5, **fields)
+    for module, name in ((os, "fork"), (os, "pipe"), (select, "poll")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"the sweep called {name}"),
+                            raising=False)
+    shares, run_share = [], experiment._run_share
+
+    def logged_share(spec, points, first, step, poll=None):
+        shares.append((first, step, poll))
+        return run_share(spec, points, first, step, poll)
+
+    monkeypatch.setattr(experiment, "_run_share", logged_share)
+
+    def check(results):
+        for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+            assert hashlib.sha256(write_results(results, fmt).encode()).hexdigest() == sha, fmt
+        assert shares == [(0, 1, None)]
+        shares.clear()
+
+    check(run_sweep(spec))
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
+    check(run_sweep(spec, workers=3))
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    monkeypatch.delattr(os, "fork", raising=False)
+    check(run_sweep(spec, workers=3))
 
 
 def test_writer_rejects_unknown_format():
